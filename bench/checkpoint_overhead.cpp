@@ -1,14 +1,14 @@
 // Checkpointing-overhead study (docs/CHECKPOINT.md's pass/fail gate).
 //
 // The crash-safety argument in docs/CHECKPOINT.md only holds up if the WAL
-// spool and periodic snapshots are cheap enough to leave on for long
-// experiments, the same standard the paper applies to its measurement
-// infrastructure and src/obs applies to instrumentation (obs_overhead).
-// This harness runs the canonical scenario with checkpointing off and on
-// (default snapshot interval, fsync enabled — the worst honest case),
-// alternating modes and keeping the per-mode minimum over the interleaved
-// reps, and fails with a nonzero exit if the enabled mode costs >= 5%
-// wall clock.
+// spool and its periodic durability barriers are cheap enough to leave on
+// for long experiments, the same standard the paper applies to its
+// measurement infrastructure and src/obs applies to instrumentation
+// (obs_overhead).  This harness runs the canonical scenario with
+// checkpointing off and on (default tick interval, fsync enabled — the
+// worst honest case), alternating modes and keeping the per-mode minimum
+// over the interleaved reps, and fails with a nonzero exit if the enabled
+// mode costs >= 5% wall clock.
 //
 // It also asserts the stronger determinism claim along the way: the encoded
 // trace from the checkpointed run must be byte-identical to the baseline's,
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
                    " simulated s, best of " + std::to_string(kReps));
   t.header({"mode", "wall seconds"});
   t.row({"checkpointing off", dct::TextTable::num(best_off)});
-  t.row({"checkpointing on (WAL + snapshots, fsync)", dct::TextTable::num(best_on)});
+  t.row({"checkpointing on (WAL, fsync)", dct::TextTable::num(best_on)});
   t.row({"overhead", dct::TextTable::pct(overhead)});
   t.row({"trace bytes identical", identical ? "yes" : "NO"});
   t.print(std::cout);

@@ -11,10 +11,10 @@
 // exports per-flow and per-link CSVs for external tooling.
 //
 // With --checkpoint-dir the run is crash-safe (docs/CHECKPOINT.md): flow
-// records spool to a write-ahead log and periodic snapshots checkpoint the
-// full experiment state, and a rerun pointed at the same directory —
-// --resume makes the intent explicit and requires the directory — resumes a
-// killed run, byte-identically.  All file outputs are written atomically
+// records spool to a write-ahead log, made durable every
+// --checkpoint-interval simulated seconds, and a rerun pointed at the same
+// directory — --resume makes the intent explicit and requires the
+// directory — replays the killed run against that log, byte-identically.  All file outputs are written atomically
 // (temp file + rename), so a crash mid-export never leaves a torn artifact.
 #include <algorithm>
 #include <cstdlib>
@@ -167,8 +167,6 @@ int main(int argc, char** argv) {
     // recovery actually exercised.
     const auto& c = cm->counters();
     std::cerr << "[ckpt] resume_count=" << cm->resume_count()
-              << " snapshots_written=" << c.snapshots_written
-              << " snapshots_verified=" << c.snapshots_verified
               << " wal_records_verified=" << c.wal_records_verified
               << " wal_records_appended=" << c.wal_records_appended
               << " wal_torn_bytes=" << c.wal_torn_bytes

@@ -1,35 +1,24 @@
 // Crash-safe checkpoint/restart manager (docs/CHECKPOINT.md).
 //
-// The repo's recovery model is deterministic replay, which PR 6's
-// determinism contract makes sound: a scenario re-run from t=0 with the
-// same config produces bit-identical events at any thread count.  A
-// checkpoint directory therefore holds two kinds of durable artifact:
+// The repo's recovery model is deterministic replay, which the determinism
+// contract (docs/PERFORMANCE.md) makes sound: a scenario re-run from t=0
+// with the same config produces bit-identical events at any thread count.
+// The one durable progress record is therefore the write-ahead trace spool
+// (trace.dwal, ckpt/wal.h), the analogue of the paper's per-server socket
+// log.  On resume, every record the replay re-emits inside the durable
+// prefix is verified against the stored per-record hash instead of being
+// re-appended; records past the prefix are appended as usual.  A torn tail
+// from the crash is truncated on open.
 //
-//   * snapshot-<id>.dsnp — periodic, checksummed captures of the full
-//     experiment state (ckpt/snapshot.h), written atomically (tmp + rename,
-//     fsync) with last-two retention.  On resume the newest valid snapshot
-//     is not "loaded into" the engines — the run replays from t=0, and when
-//     the replay reaches the snapshot's sim time the live state must match
-//     the stored state bit-for-bit, or the resume fails as divergent.
-//
-//   * trace.dwal — the write-ahead trace spool (ckpt/wal.h).  Records the
-//     replay re-emits over the durable prefix are verified against the
-//     stored per-record hashes instead of re-appended; records past the
-//     prefix are appended as usual.  A torn tail from the crash is
-//     truncated on open.
-//
-// The net effect: a SIGKILL at any instant — mid-snapshot, mid-WAL-append —
+// The net effect: a SIGKILL at any instant — mid-WAL-append, mid-recovery —
 // loses no durable record, and the resumed run's outputs are byte-identical
 // to an uninterrupted run's (tools/crash/crash_harness proves it).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 
-#include "ckpt/snapshot.h"
 #include "ckpt/wal.h"
 
 namespace dct::ckpt {
@@ -40,11 +29,12 @@ namespace dct::ckpt {
 struct CheckpointConfig {
   /// Checkpoint directory; empty disables checkpointing entirely.
   std::string dir;
-  /// Simulated seconds between snapshots.
+  /// Simulated seconds between checkpoint ticks, each a WAL durability
+  /// barrier.
   double interval_s = 30.0;
-  /// fsync the WAL before each snapshot and the snapshot itself.  Turning
-  /// this off trades crash-durability of the newest interval for speed; the
-  /// on-disk formats remain torn-write safe either way.
+  /// fdatasync the WAL at each tick.  Turning this off trades
+  /// crash-durability of the newest interval for speed; the WAL stays
+  /// torn-write safe either way.
   bool fsync = true;
 
   [[nodiscard]] bool enabled() const noexcept { return !dir.empty(); }
@@ -52,42 +42,20 @@ struct CheckpointConfig {
   void validate() const;
 };
 
-/// Accumulates scenario identity into the fingerprint that binds snapshots
-/// and the WAL to one experiment.  Fold order is part of the format; core
-/// folds name, seed, horizon, topology shape and subsystem-enable flags —
-/// not parallelism, which by the determinism contract cannot change
-/// results.
-class Fingerprint {
- public:
-  Fingerprint& u64(std::uint64_t v) noexcept;
-  Fingerprint& f64(double v) noexcept;  ///< IEEE-754 bit pattern
-  Fingerprint& flag(bool b) noexcept { return u64(b ? 1 : 0); }
-  Fingerprint& str(std::string_view s) noexcept;
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = kFnvOffset;
-};
-
 /// Owns one checkpoint directory for the lifetime of one run attempt.
 ///
-/// Construction performs recovery: stale snapshot temp files from a
-/// mid-snapshot kill are removed, the WAL is opened (truncating any torn
-/// tail), and the newest snapshot that decodes, matches the scenario
-/// fingerprint and is consistent with the durable WAL prefix becomes the
-/// resume target.  Snapshots that fail any of those checks are skipped in
-/// favor of the next-older one — that is what last-two retention is for.
+/// Construction performs recovery: temp files stranded by a kill between
+/// write and rename are removed, and the WAL is opened — truncating any
+/// torn tail, and throwing if it belongs to a different scenario.  Its
+/// surviving frames are the durable prefix the replay must reproduce.
 class CheckpointManager {
  public:
   /// Recovery/progress counters, published as ckpt.* metrics after the run.
   struct Counters {
-    std::uint64_t snapshots_written = 0;
-    std::uint64_t snapshots_verified = 0;   ///< replay matched stored snapshot
-    std::uint64_t snapshots_skipped = 0;    ///< unreadable/stale, passed over
     std::uint64_t wal_records_appended = 0;
     std::uint64_t wal_records_verified = 0;  ///< replay matched durable prefix
     std::uint64_t wal_torn_bytes = 0;        ///< torn tail truncated on open
-    std::uint64_t stale_tmp_removed = 0;     ///< mid-snapshot kill leftovers
+    std::uint64_t stale_tmp_removed = 0;     ///< mid-write kill leftovers
   };
 
   /// Opens `cfg.dir` (created if missing) for the scenario identified by
@@ -100,16 +68,8 @@ class CheckpointManager {
   [[nodiscard]] const CheckpointConfig& config() const noexcept { return cfg_; }
   /// True when recovery found prior progress (a crashed or completed run).
   [[nodiscard]] bool resuming() const noexcept { return resume_count_ > 0; }
-  /// Snapshot the replay must reproduce; null on a fresh run or when the
-  /// crash predated the first snapshot (WAL-only recovery).
-  [[nodiscard]] const Snapshot* resume_snapshot() const noexcept {
-    return resume_ ? &*resume_ : nullptr;
-  }
   /// Times this run has been resumed, this attempt included.
   [[nodiscard]] std::uint64_t resume_count() const noexcept { return resume_count_; }
-  [[nodiscard]] std::uint64_t last_snapshot_id() const noexcept {
-    return last_snapshot_id_;
-  }
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
   /// Records spooled so far this attempt (verified replays + new appends).
   [[nodiscard]] std::uint64_t records_emitted() const noexcept { return emitted_; }
@@ -119,13 +79,12 @@ class CheckpointManager {
   /// it.
   void on_record(const FlowRecord& rec);
 
-  /// Checkpoint tick.  `live` carries the capture's id, sim time and state
-  /// sections; the manager fills identity/lineage/WAL-cursor fields.
-  /// Before the resume point: skipped (fast replay).  At the resume point:
-  /// verified bit-for-bit against the stored snapshot.  Past it: WAL is
-  /// flushed, the snapshot is written atomically, and the
-  /// two-generations-old snapshot is deleted.
-  void checkpoint(Snapshot live);
+  /// Checkpoint tick, the WAL durability barrier: drains the append
+  /// buffer, fdatasyncs when `fsync` is on, and rewrites the lineage
+  /// manifest.  Skipped while the replay is still inside the durable prefix
+  /// (or the WAL is already finalized): there is nothing new to make
+  /// durable.
+  void checkpoint();
 
   /// Completes the attempt: proves the replay covered the whole durable
   /// prefix, appends the WAL finalize marker, flushes, and rewrites the
@@ -133,25 +92,16 @@ class CheckpointManager {
   void finalize();
 
  private:
-  [[nodiscard]] std::string snapshot_path(std::uint64_t id) const;
   [[nodiscard]] std::string wal_path() const;
   [[nodiscard]] std::string lineage_path() const;
   void recover();
-  /// WAL cursor (bytes, chain hash) after the first `records` records.
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> wal_cursor(
-      std::uint64_t records) const;
-  void write_snapshot_file(const std::string& path,
-                           const std::vector<std::uint8_t>& bytes);
   void write_lineage(bool finished);
 
   CheckpointConfig cfg_;
   std::uint64_t fingerprint_ = 0;
   std::int64_t slow_ns_ = 0;  ///< DCT_CKPT_TEST_SLOW_NS crash-window widener
   std::unique_ptr<TraceWal> wal_;
-  std::optional<Snapshot> resume_;
   std::uint64_t resume_count_ = 0;
-  std::uint64_t last_snapshot_id_ = 0;
-  bool wrote_snapshot_ = false;
   std::uint64_t emitted_ = 0;
   Counters counters_;
 };

@@ -9,7 +9,6 @@
 #include <ctime>
 #include <filesystem>
 
-#include "ckpt/snapshot.h"
 #include "common/fsio.h"
 #include "common/require.h"
 #include "trace/codec.h"
@@ -27,7 +26,7 @@ constexpr std::uint8_t kTagFinal = 2;
 constexpr std::uint64_t kSlowEveryNth = 8;
 // Owned append-buffer capacity; drained with a single write() when full or
 // at a flush barrier.  Large enough that a canonical run drains a handful
-// of times between snapshots.
+// of times between checkpoint ticks.
 constexpr std::size_t kBufferCap = 256 * 1024;
 
 std::uint64_t get_u64(ByteReader& r) {
@@ -94,8 +93,8 @@ void fnv1a_pair(const std::vector<std::uint8_t>& bytes, std::uint64_t& frame_has
   std::uint64_t h = frame_hash;
   std::uint64_t c = chain;
   for (std::uint8_t b : bytes) {
-    h = (h ^ b) * 0x100000001b3ULL;
-    c = (c ^ b) * 0x100000001b3ULL;
+    h = (h ^ b) * kFnvPrime;
+    c = (c ^ b) * kFnvPrime;
   }
   frame_hash = h;
   chain = c;
@@ -130,7 +129,6 @@ TraceWal::TraceWal(std::string path, std::uint64_t fingerprint, std::int64_t slo
   }
   buffer_.reserve(kBufferCap);
   const std::vector<std::uint8_t> header = wal_header(fingerprint_);
-  header_bytes_ = header.size();
   std::error_code ec;
   const auto size = std::filesystem::file_size(p, ec);
   if (!ec && size >= header.size()) {
@@ -187,7 +185,7 @@ void TraceWal::scan_existing(const std::vector<std::uint8_t>& bytes) {
         ByteReader fr(payload);
         const std::uint64_t count = fr.uvarint();
         const std::uint64_t chain = get_u64(fr);
-        require(count == frames_.size() && chain == chain_,
+        require(count == durable_hashes_.size() && chain == chain_,
                 "TraceWal: finalize marker does not match the record chain");
         finalized_ = true;
         valid_bytes_ = r.position();
@@ -198,7 +196,7 @@ void TraceWal::scan_existing(const std::vector<std::uint8_t>& bytes) {
       }
       chain_ = fnv1a(chain_, payload);
       valid_bytes_ = r.position();
-      frames_.push_back({got, chain_, valid_bytes_});
+      durable_hashes_.push_back(got);
     } catch (const Error&) {
       truncated_bytes_ = bytes.size() - valid_bytes_;
       truncated_tail_ = true;
@@ -270,7 +268,6 @@ void TraceWal::append(const FlowRecord& rec) {
   }
   valid_bytes_ += frame_size;
   ++appended_since_flush_;
-  frames_.push_back({hash, chain_, valid_bytes_});
 }
 
 void TraceWal::finalize(std::uint64_t record_count, std::uint64_t chain_hash) {

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/units.h"
 #include "flowsim/flowsim.h"
 
@@ -26,15 +27,6 @@ namespace dct::ckpt {
 /// bit patterns: the WAL is a bit-exactness witness, not a compressed
 /// archive, so nothing is quantized.
 [[nodiscard]] std::vector<std::uint8_t> encode_wal_record(const FlowRecord& rec);
-
-/// One durable frame, with the WAL cursor as of its commit.  The cumulative
-/// fields let a snapshot's WAL position (records, bytes, chain hash) be
-/// checked against the durable prefix at any record count.
-struct WalFrameInfo {
-  std::uint64_t payload_hash = 0;  ///< FNV-1a of the frame payload
-  std::uint64_t chain_after = 0;   ///< record chain hash after this frame
-  std::uint64_t bytes_after = 0;   ///< file offset just past this frame
-};
 
 /// Append-side handle on the WAL segment of one checkpoint directory.
 ///
@@ -46,10 +38,6 @@ struct WalFrameInfo {
 /// continues a different experiment.
 class TraceWal {
  public:
-  /// FNV-1a offset basis the record chain starts from (= ckpt::kFnvOffset;
-  /// duplicated here so wal.h does not need snapshot.h).
-  static constexpr std::uint64_t kFnvOffsetWal = 0xcbf29ce484222325ULL;
-
   /// Opens (or creates) `path` for the scenario identified by
   /// `fingerprint`.  `slow_ns`, when > 0, widens every append and flush
   /// with raw unbuffered half-writes separated by that many nanoseconds —
@@ -64,21 +52,22 @@ class TraceWal {
   void append(const FlowRecord& rec);
   /// Appends the finalize marker for a completed run.
   void finalize(std::uint64_t record_count, std::uint64_t chain_hash);
-  /// Flushes stdio buffers and fsyncs — the durability barrier every
-  /// snapshot write takes first.
+  /// Drains the append buffer and, when `sync`, fdatasyncs — the
+  /// durability barrier of every checkpoint tick.
   void flush(bool sync);
 
+  /// Chained FNV-1a over every record payload in the file, the durable
+  /// prefix and this open's appends alike.
+  [[nodiscard]] std::uint64_t chain_hash() const noexcept { return chain_; }
+
   // --- State recovered by the opening scan --------------------------------
-  /// Frames that survived the scan, in order.
-  [[nodiscard]] const std::vector<WalFrameInfo>& durable_frames() const noexcept {
-    return frames_;
+  /// Payload hashes of the frames that survived the scan, in order.
+  /// Appends made after the open are not added.
+  [[nodiscard]] const std::vector<std::uint64_t>& durable_hashes() const noexcept {
+    return durable_hashes_;
   }
-  /// Chained FNV-1a over the durable frames' payloads.
-  [[nodiscard]] std::uint64_t durable_chain_hash() const noexcept { return chain_; }
   /// Bytes of valid prefix the scan kept (header + whole frames).
   [[nodiscard]] std::uint64_t durable_bytes() const noexcept { return valid_bytes_; }
-  /// Fixed header size — the WAL byte cursor at record count 0.
-  [[nodiscard]] std::uint64_t header_bytes() const noexcept { return header_bytes_; }
   /// True when the scan cut a torn tail off the file.
   [[nodiscard]] bool truncated_tail() const noexcept { return truncated_tail_; }
   /// Bytes the truncation discarded (0 when the tail was clean).
@@ -108,10 +97,9 @@ class TraceWal {
   std::vector<std::uint8_t> buffer_;
   /// Reused frame-encode scratch, so the encode never allocates per record.
   std::vector<std::uint8_t> payload_scratch_;
-  std::vector<WalFrameInfo> frames_;
-  std::uint64_t chain_ = kFnvOffsetWal;
+  std::vector<std::uint64_t> durable_hashes_;
+  std::uint64_t chain_ = kFnvOffset;
   std::uint64_t valid_bytes_ = 0;
-  std::uint64_t header_bytes_ = 0;
   std::uint64_t truncated_bytes_ = 0;
   std::uint64_t appended_since_flush_ = 0;
   bool truncated_tail_ = false;

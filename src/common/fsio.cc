@@ -57,7 +57,7 @@ void atomic_write_file(const std::string& path, std::span<const std::uint8_t> by
   // fdatasync: the rename below is what publishes the file, so inode
   // metadata (mtime) needs no flush of its own — only the data and the
   // size, both of which fdatasync covers.  Measurably cheaper than fsync
-  // on journaling filesystems, and snapshots take this barrier per tick.
+  // on journaling filesystems.
   if (ok && sync) ok = ::fdatasync(fd) == 0;
   ::close(fd);
   if (!ok) {

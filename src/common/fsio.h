@@ -2,7 +2,7 @@
 //
 // The paper's pipeline ran for weeks; partially written outputs were a fact
 // of life.  Every durable artifact this library produces — run manifests,
-// bench CSV/JSON exports, checkpoint snapshots, encoded traces — goes
+// bench CSV/JSON exports, checkpoint lineage, encoded traces — goes
 // through the same write-to-temp + rename discipline, so a reader (or a
 // crash mid-write) either sees the previous complete file or the new
 // complete file, never a torn one.

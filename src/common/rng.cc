@@ -28,12 +28,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
 }
 
-void Rng::set_state(const std::array<std::uint64_t, 4>& s) {
-  require(s[0] != 0 || s[1] != 0 || s[2] != 0 || s[3] != 0,
-          "Rng::set_state: all-zero state is not a valid xoshiro state");
-  s_ = s;
-}
-
 Rng::result_type Rng::operator()() noexcept {
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
   const std::uint64_t t = s_[1] << 17;

@@ -67,15 +67,6 @@ class Rng {
   /// Fisher-Yates shuffle of an index permutation of size n.
   std::vector<std::size_t> permutation(std::size_t n);
 
-  // --- Checkpoint support (src/ckpt) --------------------------------------
-  /// The raw xoshiro256** state words.  Together with set_state() this lets
-  /// a checkpoint freeze and restore any seeded stream mid-run so the draws
-  /// after a restore continue the unbroken sequence bit-for-bit.
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept { return s_; }
-  /// Restores a state captured by state().  The all-zero state is not a
-  /// valid xoshiro state and is rejected.
-  void set_state(const std::array<std::uint64_t, 4>& s);
-
  private:
   std::array<std::uint64_t, 4> s_{};
 };

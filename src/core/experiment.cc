@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "analysis/analysis_obs.h"
+#include "common/fnv.h"
 #include "common/require.h"
 #include "trace/codec.h"
 
@@ -46,8 +47,9 @@ ClusterExperiment::~ClusterExperiment() {
   // registry_; a later encode/decode or analysis call outside any experiment
   // must not touch freed counters.  (If another live experiment had re-bound
   // them its metrics go silently quiet, which is harmless — the hooks are
-  // null-tolerant.)
-  if (ran_ && config_.obs_bind_metrics) {
+  // null-tolerant.)  This holds for a run() that threw, e.g. a divergent
+  // resume, too.
+  if (process_metrics_bound_) {
     bind_codec_metrics(nullptr);
     bind_analysis_metrics(nullptr);
   }
@@ -61,6 +63,7 @@ void ClusterExperiment::run() {
     driver_.bind_metrics(registry_);
     bind_codec_metrics(&registry_);
     bind_analysis_metrics(&registry_);
+    process_metrics_bound_ = true;
     if (pool_) pool_->bind_metrics(&registry_);
   }
   driver_.install();
@@ -101,8 +104,8 @@ void ClusterExperiment::run() {
   }
   // Checkpointing is opt-in with the same caveat as sampling below: ticks
   // are user callbacks in the queue, so enabling it shifts event sequence
-  // numbers (never results).  Construction performs recovery — any durable
-  // progress in the directory becomes the replay-verification target.
+  // numbers (never results).  Construction performs recovery — the durable
+  // WAL prefix in the directory becomes the replay-verification target.
   if (config_.checkpoint.enabled()) {
     ckpt_ = std::make_unique<ckpt::CheckpointManager>(config_.checkpoint,
                                                       scenario_fingerprint());
@@ -136,7 +139,7 @@ void ClusterExperiment::resume(const std::string& dir) {
 }
 
 std::uint64_t ClusterExperiment::scenario_fingerprint() const {
-  ckpt::Fingerprint fp;
+  Fingerprint fp;
   fp.str("dct-scenario-v1")
       .str(config_.name)
       .u64(config_.seed)
@@ -160,40 +163,13 @@ void ClusterExperiment::schedule_checkpoint_tick(std::uint64_t id) {
   const TimeSec t = static_cast<double>(id) * config_.checkpoint.interval_s;
   if (t > config_.sim.end_time) return;
   sim_.at(t, [this, id](FlowSim&) {
-    ckpt_->checkpoint(capture_snapshot(id));
+    ckpt_->checkpoint();
     schedule_checkpoint_tick(id + 1);
   });
 }
 
-ckpt::Snapshot ClusterExperiment::capture_snapshot(std::uint64_t id) const {
-  ckpt::Snapshot s;
-  s.id = id;
-  s.sim_time_us = ByteWriter::quantize_time(sim_.now());
-  s.flowsim = sim_.checkpoint_state();
-  s.workload = driver_.checkpoint_state();
-  if (injector_) {
-    s.has_injector = true;
-    s.faults = injector_->checkpoint_state();
-  }
-  // Deterministic scalars only: wall-clock accumulators differ between a
-  // run and its replay by nature, and ckpt.* would make snapshots describe
-  // themselves.
-  for (auto& [name, value] : registry_.scalar_snapshot()) {
-    if (name.find("wall_ns") != std::string::npos) continue;
-    if (name.rfind("ckpt.", 0) == 0) continue;
-    s.obs_counters.emplace_back(std::move(name), value);
-  }
-  return s;
-}
-
 void ClusterExperiment::publish_ckpt_metrics() {
   const ckpt::CheckpointManager::Counters& c = ckpt_->counters();
-  registry_.counter("ckpt", "snapshots_written", "snapshots")
-      ->inc(c.snapshots_written);
-  registry_.counter("ckpt", "snapshots_verified", "snapshots")
-      ->inc(c.snapshots_verified);
-  registry_.counter("ckpt", "snapshots_skipped", "snapshots")
-      ->inc(c.snapshots_skipped);
   registry_.counter("ckpt", "wal_records_appended", "records")
       ->inc(c.wal_records_appended);
   registry_.counter("ckpt", "wal_records_verified", "records")
@@ -279,8 +255,6 @@ obs::RunManifest ClusterExperiment::manifest(const std::string& harness) const {
     m.config["checkpoint_interval_s"] = config_.checkpoint.interval_s;
     m.config["ckpt_resume_count"] =
         ckpt_ ? static_cast<double>(ckpt_->resume_count()) : 0.0;
-    m.config["ckpt_last_snapshot_id"] =
-        ckpt_ ? static_cast<double>(ckpt_->last_snapshot_id()) : 0.0;
   }
   m.build = obs::current_build_info();
   m.wall_seconds = wall_seconds_;

@@ -52,15 +52,14 @@ class ClusterExperiment {
   /// Idempotent.  When the scenario's checkpoint config is enabled this
   /// transparently recovers any prior progress in the checkpoint directory
   /// (docs/CHECKPOINT.md): flow records are verified against the durable
-  /// WAL prefix and snapshots against the replayed state, and the run
-  /// throws rather than silently diverge.
+  /// WAL prefix, and the run throws rather than silently diverge.
   void run();
 
   /// run() against the checkpoint directory `dir` of a killed run:
   /// overrides the scenario's checkpoint dir and runs to the horizon,
   /// replaying and extending the durable progress found there.  The rest of
   /// the scenario config must be the one the crashed run used (enforced via
-  /// the scenario fingerprint bound into the directory's artifacts).
+  /// the scenario fingerprint bound into the directory's WAL).
   void resume(const std::string& dir);
 
   [[nodiscard]] const ScenarioConfig& scenario() const noexcept { return config_; }
@@ -147,7 +146,6 @@ class ClusterExperiment {
  private:
   void schedule_sampler_tick();
   void schedule_checkpoint_tick(std::uint64_t id);
-  [[nodiscard]] ckpt::Snapshot capture_snapshot(std::uint64_t id) const;
   void publish_ckpt_metrics();
   void publish_telemetry_metrics();
   ScenarioConfig config_;
@@ -166,6 +164,7 @@ class ClusterExperiment {
   std::unique_ptr<LossyCollection> observed_cache_;
   TelemetryMergeStats telemetry_stats_;
   bool ran_ = false;
+  bool process_metrics_bound_ = false;  // codec/analysis hooks point into registry_
   std::unique_ptr<LinkUtilizationMap> util_cache_;
   obs::Registry registry_;
   std::unique_ptr<obs::Sampler> sampler_;

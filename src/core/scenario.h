@@ -50,9 +50,9 @@ struct ScenarioConfig {
   std::uint64_t seed = 42;
   /// Crash-safe checkpoint/restart (src/ckpt, docs/CHECKPOINT.md): when a
   /// checkpoint directory is set, run() spools every flow record to a
-  /// write-ahead log and writes periodic checksummed snapshots there, and a
+  /// write-ahead log there, made durable on a sim-time interval, and a
   /// rerun pointed at the same directory resumes a killed run, verifying
-  /// the replay against the durable state byte-for-byte.  Disabled (empty
+  /// the replay against the durable log byte-for-byte.  Disabled (empty
   /// dir) by default, in which case no manager is built, no tap or tick is
   /// installed and the run is byte-identical to a build without the
   /// subsystem.

@@ -5,6 +5,7 @@
 #include <string>
 #include <tuple>
 
+#include "common/fnv.h"
 #include "common/require.h"
 #include "common/rng.h"
 #include "faults/fault_domain.h"
@@ -227,32 +228,27 @@ std::vector<DegradationEvent> generate_degradation_schedule(
 std::uint64_t schedule_hash(const std::vector<FaultEvent>& faults,
                             const std::vector<DegradationEvent>& degradations) {
   if (faults.empty() && degradations.empty()) return 0;
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;  // FNV-1a prime
-    }
-  };
-  const auto mix_time = [&mix](TimeSec t) {
-    mix(static_cast<std::uint64_t>(std::llround(t * 1e6)));
+  Fingerprint fp(kScheduleHashBasis);
+  const auto mix_time = [&fp](TimeSec t) {
+    fp.u64(static_cast<std::uint64_t>(std::llround(t * 1e6)));
   };
   for (const FaultEvent& e : faults) {
-    mix(0xFA);
+    fp.u64(0xFA);
     mix_time(e.start);
     mix_time(e.end);
-    mix(static_cast<std::uint64_t>(e.device));
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.entity)));
+    fp.u64(static_cast<std::uint64_t>(e.device));
+    fp.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.entity)));
   }
   for (const DegradationEvent& e : degradations) {
-    mix(0xDE);
+    fp.u64(0xDE);
     mix_time(e.start);
     mix_time(e.end);
-    mix(static_cast<std::uint64_t>(e.kind));
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.entity)));
-    mix(static_cast<std::uint64_t>(std::llround(e.severity * 1e6)));
+    fp.u64(static_cast<std::uint64_t>(e.kind));
+    fp.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.entity)));
+    fp.u64(static_cast<std::uint64_t>(std::llround(e.severity * 1e6)));
     mix_time(e.period);
   }
+  const std::uint64_t h = fp.value();
   return h != 0 ? h : 1;  // 0 stays reserved for "no schedule"
 }
 

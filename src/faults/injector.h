@@ -14,7 +14,6 @@
 // (faults -> {topology, flowsim, trace}; core wires faults <-> workload).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -107,37 +106,6 @@ class FaultInjector {
   /// and starts feeding them.  Optional; call before install().  No-op in a
   /// DCT_OBS=OFF build.
   void bind_metrics(obs::Registry& registry);
-
-  // --- Checkpoint support (src/ckpt) --------------------------------------
-  /// Serializable injector progress.  The schedules themselves are
-  /// pre-installed as simulator events and regenerate deterministically on
-  /// resume (schedule hashes prove it); these counters and the cascade RNG
-  /// stream are the cursors a replayed run must reproduce bit-for-bit.
-  struct CheckpointState {
-    std::uint64_t injected = 0;
-    std::uint64_t skipped = 0;
-    std::uint64_t degradations_injected = 0;
-    std::uint64_t degradations_skipped = 0;
-    std::uint64_t flap_transitions = 0;
-    std::uint64_t cascade_trips = 0;
-    std::uint64_t cascades_suppressed = 0;
-    std::int32_t max_cascade_depth = 0;
-    std::array<std::uint64_t, 4> cascade_rng{};
-  };
-  /// Captures the injector's serializable state (const; draws nothing).
-  [[nodiscard]] CheckpointState checkpoint_state() const {
-    CheckpointState s;
-    s.injected = injected_;
-    s.skipped = skipped_;
-    s.degradations_injected = degradations_injected_;
-    s.degradations_skipped = degradations_skipped_;
-    s.flap_transitions = flap_transitions_;
-    s.cascade_trips = cascade_trips_;
-    s.cascades_suppressed = cascades_suppressed_;
-    s.max_cascade_depth = max_cascade_depth_observed_;
-    s.cascade_rng = cascade_rng_.state();
-    return s;
-  }
 
  private:
   void inject(const FaultEvent& e);

@@ -588,45 +588,4 @@ void FlowSim::snapshot_link_rates(std::vector<double>& out) const {
   }
 }
 
-FlowSim::CheckpointState FlowSim::checkpoint_state() const {
-  CheckpointState s;
-  s.now = now_;
-  s.seq = seq_;
-  s.started = started_;
-  s.failed = failed_;
-  s.fault_killed = fault_killed_;
-  s.fault_rerouted = fault_rerouted_;
-  s.recomputes = recomputes_;
-  s.rng = rng_.state();
-  s.flows.reserve(active_.size());
-  for (const ActiveFlow& f : active_) {
-    CheckpointState::FlowState fs;
-    fs.id = f.id.value();
-    fs.src = f.spec.src.value();
-    fs.dst = f.spec.dst.value();
-    fs.bytes = f.spec.bytes;
-    fs.remaining = f.remaining;
-    fs.rate = f.rate;
-    fs.start = f.start;
-    fs.last_deposit = f.last_deposit;
-    fs.stall_since = f.stall_since;
-    fs.generation = f.generation;
-    fs.job = f.spec.job.value();
-    fs.phase = f.spec.phase.value();
-    fs.kind = static_cast<std::uint8_t>(f.spec.kind);
-    s.flows.push_back(fs);
-  }
-  // The active table is swap-remove ordered; identical runs order it
-  // identically, but flow-id order makes the artifact canonical to read.
-  std::sort(s.flows.begin(), s.flows.end(),
-            [](const auto& a, const auto& b) { return a.id < b.id; });
-  for (std::size_t l = 0; l < link_cap_factor_.size(); ++l) {
-    if (link_cap_factor_[l] != 1.0) {
-      s.degraded_links.emplace_back(static_cast<std::int32_t>(l),
-                                    link_cap_factor_[l]);
-    }
-  }
-  return s;
-}
-
 }  // namespace dct

@@ -23,7 +23,6 @@
 //     mechanism by which congestion causes the read failures of §4.2.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -229,45 +228,6 @@ class FlowSim {
   /// "flowsim") and starts feeding them.  Call before run(); optional — an
   /// unbound simulator records nothing.  No-op in a DCT_OBS=OFF build.
   void bind_metrics(obs::Registry& registry);
-
-  // --- Checkpoint support (src/ckpt) --------------------------------------
-  /// Everything serializable about the simulator's progress: clock, event
-  /// sequence counter, lifetime counters, the in-flight flow table, the
-  /// degraded-link overlay and the connection-failure RNG stream.  The event
-  /// queue itself holds type-erased workload closures and is deliberately
-  /// NOT part of this state — resume re-derives it by deterministic replay
-  /// (docs/CHECKPOINT.md); the captured state is the checksummed progress
-  /// record a resumed run must reproduce bit-for-bit.
-  struct CheckpointState {
-    TimeSec now = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t started = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t fault_killed = 0;
-    std::uint64_t fault_rerouted = 0;
-    std::uint64_t recomputes = 0;
-    std::array<std::uint64_t, 4> rng{};
-    struct FlowState {
-      std::int32_t id = -1;
-      std::int32_t src = -1;
-      std::int32_t dst = -1;
-      std::int64_t bytes = 0;
-      double remaining = 0;
-      double rate = 0;
-      TimeSec start = 0;
-      TimeSec last_deposit = 0;
-      TimeSec stall_since = -1;
-      std::uint32_t generation = 0;
-      std::int32_t job = -1;
-      std::int32_t phase = -1;
-      std::uint8_t kind = 0;
-    };
-    std::vector<FlowState> flows;  ///< active set, sorted by flow id
-    /// Links whose effective-capacity factor differs from nominal 1.0.
-    std::vector<std::pair<std::int32_t, double>> degraded_links;
-  };
-  /// Captures the simulator's serializable state (const; draws nothing).
-  [[nodiscard]] CheckpointState checkpoint_state() const;
 
  private:
   struct ActiveFlow {

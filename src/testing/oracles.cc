@@ -155,7 +155,7 @@ void checkpoint_oracle(ScenarioConfig cfg, const std::string& workdir,
   }
 
   // Resume of a completed directory: recovery must re-verify the durable
-  // WAL/snapshots against the replay and land on the identical bytes.
+  // WAL against the replay and land on the identical bytes.
   try {
     ClusterExperiment resumed(cfg);
     resumed.resume(ckpt_dir);

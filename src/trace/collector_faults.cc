@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/fnv.h"
 #include "common/require.h"
 #include "common/rng.h"
 
@@ -195,45 +196,39 @@ TelemetryFaultSchedule generate_telemetry_schedule(
 
 std::uint64_t telemetry_schedule_hash(const TelemetryFaultSchedule& schedule) {
   if (schedule.empty()) return 0;
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;  // FNV-1a prime
-    }
-  };
-  const auto mix_time = [&mix](TimeSec t) {
-    mix(static_cast<std::uint64_t>(std::llround(t * 1e6)));
+  Fingerprint fp(kScheduleHashBasis);
+  const auto mix_time = [&fp](TimeSec t) {
+    fp.u64(static_cast<std::uint64_t>(std::llround(t * 1e6)));
   };
   for (const GapRecord& g : schedule.gaps) {
-    mix(0x6A);
-    mix(static_cast<std::uint64_t>(g.server.value()));
+    fp.u64(0x6A);
+    fp.u64(static_cast<std::uint64_t>(g.server.value()));
     mix_time(g.start);
     mix_time(g.end);
-    mix(static_cast<std::uint64_t>(g.cause));
+    fp.u64(static_cast<std::uint64_t>(g.cause));
   }
   for (const UploadPlan& u : schedule.uploads) {
-    mix(0x0B);
-    mix(static_cast<std::uint64_t>(u.server.value()));
-    mix(static_cast<std::uint64_t>((u.lost ? 1 : 0) | (u.truncated ? 2 : 0) |
-                                   (u.duplicated ? 4 : 0)));
+    fp.u64(0x0B);
+    fp.u64(static_cast<std::uint64_t>(u.server.value()));
+    fp.u64(static_cast<std::uint64_t>((u.lost ? 1 : 0) | (u.truncated ? 2 : 0) |
+                                      (u.duplicated ? 4 : 0)));
     mix_time(u.truncate_at);
     mix_time(u.chunk_start);
     mix_time(u.chunk_end);
   }
   for (const SnmpTimeoutEvent& t : schedule.snmp_timeouts) {
-    mix(0x50);
-    mix(static_cast<std::uint64_t>(t.device));
-    mix(static_cast<std::uint64_t>(t.entity));
+    fp.u64(0x50);
+    fp.u64(static_cast<std::uint64_t>(t.device));
+    fp.u64(static_cast<std::uint64_t>(t.entity));
     mix_time(t.time);
   }
   for (const CounterResetEvent& c : schedule.counter_resets) {
-    mix(0xCE);
-    mix(static_cast<std::uint64_t>(c.device));
-    mix(static_cast<std::uint64_t>(c.entity));
+    fp.u64(0xCE);
+    fp.u64(static_cast<std::uint64_t>(c.device));
+    fp.u64(static_cast<std::uint64_t>(c.entity));
     mix_time(c.time);
   }
-  return h;
+  return fp.value();
 }
 
 LossyCollection apply_telemetry_faults(const ClusterTrace& full,

@@ -1270,9 +1270,11 @@ void WorkloadDriver::start_output_phase(JobExec& job) {
   for (BlockId bid : out_ds.blocks) {
     const Block& blk = store_.block(bid);
     const ServerId writer = blk.replicas.front();
-    // Build the chain of (from, to) hops.
+    // Build the chain of (from, to) hops.  The chain holds itself only
+    // weakly; the pending flow's completion callback owns it, so it is freed
+    // once the last hop completes.
     auto advance = std::make_shared<std::function<void(std::size_t)>>();
-    *advance = [this, jp, blk, writer, advance](std::size_t hop) {
+    *advance = [this, jp, blk, writer, self = std::weak_ptr(advance)](std::size_t hop) {
       if (hop + 1 >= blk.replicas.size() || jp->failed || horizon_reached()) {
         if (--jp->output_writes_pending == 0 && !jp->failed && !horizon_reached()) {
           PhaseLogRecord p;
@@ -1297,8 +1299,8 @@ void WorkloadDriver::start_output_phase(JobExec& job) {
       fs.job = jp->spec.id;
       fs.phase = jp->output_phase;
       fs.kind = FlowKind::kReplicaWrite;
-      sim_.start_flow(fs, [advance, hop](FlowSim&, const FlowRecord&) {
-        (*advance)(hop + 1);
+      sim_.start_flow(fs, [next = self.lock(), hop](FlowSim&, const FlowRecord&) {
+        (*next)(hop + 1);
       });
     };
     (void)writer;
@@ -1346,7 +1348,8 @@ void WorkloadDriver::start_egress(JobExec& job) {
   auto pump = std::make_shared<std::function<void()>>();
   const std::vector<BlockId> blocks = out.blocks;
   JobExec* jp = &job;
-  *pump = [this, jp, blocks, ext, state, pump] {
+  // Weak self-reference: in-flight flows' callbacks own the pump.
+  *pump = [this, jp, blocks, ext, state, self = std::weak_ptr(pump)] {
     while (state->second < config_.egress_concurrency && state->first < blocks.size()) {
       const Block& blk = store_.block(blocks[state->first++]);
       ++state->second;
@@ -1356,7 +1359,7 @@ void WorkloadDriver::start_egress(JobExec& job) {
       fs.bytes = blk.size;
       fs.job = jp->spec.id;
       fs.kind = FlowKind::kEgress;
-      sim_.start_flow(fs, [state, pump](FlowSim&, const FlowRecord&) {
+      sim_.start_flow(fs, [state, pump = self.lock()](FlowSim&, const FlowRecord&) {
         --state->second;
         (*pump)();
       });
@@ -1409,8 +1412,9 @@ void WorkloadDriver::run_evacuation(ServerId victim) {
   st->blocks = std::move(blocks);
   st->start = sim_.now();
 
+  // Weak self-reference: in-flight flows' callbacks own the pump.
   auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, victim, st, pump] {
+  *pump = [this, victim, st, self = std::weak_ptr(pump)] {
     while (st->in_flight < config_.evacuation_concurrency &&
            st->next < st->blocks.size()) {
       const BlockId bid = st->blocks[st->next++];
@@ -1426,8 +1430,8 @@ void WorkloadDriver::run_evacuation(ServerId victim) {
       fs.dst = target;
       fs.bytes = store_.block(bid).size;
       fs.kind = FlowKind::kEvacuation;
-      sim_.start_flow(fs, [this, victim, bid, target, st, pump](FlowSim&,
-                                                                const FlowRecord& rec) {
+      sim_.start_flow(fs, [this, victim, bid, target, st,
+                           pump = self.lock()](FlowSim&, const FlowRecord& rec) {
         --st->in_flight;
         if (!rec.failed && store_.has_replica(bid, victim) &&
             !store_.has_replica(bid, target)) {
@@ -1598,8 +1602,9 @@ void WorkloadDriver::run_rereplication(ServerId failed) {
   auto st = std::make_shared<ReplState>();
   st->blocks = std::move(blocks);
 
+  // Weak self-reference: in-flight flows' callbacks own the pump.
   auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, failed, st, pump] {
+  *pump = [this, failed, st, self = std::weak_ptr(pump)] {
     while (st->in_flight < config_.evacuation_concurrency &&
            st->next < st->blocks.size()) {
       const BlockId bid = st->blocks[st->next++];
@@ -1627,7 +1632,7 @@ void WorkloadDriver::run_rereplication(ServerId failed) {
       fs.bytes = store_.block(bid).size;
       fs.kind = FlowKind::kEvacuation;  // recovery traffic shares the kind
       sim_.start_flow(fs, [this, failed, bid, target, st,
-                           pump](FlowSim&, const FlowRecord& rec) {
+                           pump = self.lock()](FlowSim&, const FlowRecord& rec) {
         --st->in_flight;
         if (!rec.failed && store_.has_replica(bid, failed) &&
             !store_.has_replica(bid, target)) {
@@ -1881,28 +1886,6 @@ RedundancyStats WorkloadDriver::redundancy(TimeSec now) const {
   return out;
 }
 
-WorkloadDriver::CheckpointState WorkloadDriver::checkpoint_state() const {
-  CheckpointState s;
-  s.stats = stats_;
-  s.rng = rng_.state();
-  s.mitigation_rng = mitigation_rng_.state();
-  s.next_job = next_job_;
-  s.next_phase = next_phase_;
-  s.running_jobs = running_jobs_;
-  s.jobs_tracked = static_cast<std::int64_t>(jobs_.size());
-  s.queued_jobs = static_cast<std::int64_t>(job_queue_.size());
-  s.repair_depth = static_cast<std::int64_t>(repair_queue_.depth());
-  s.repair_in_flight = repair_queue_.in_flight();
-  s.repair_peak_depth = static_cast<std::int64_t>(repair_queue_.peak_depth());
-  s.under_replicated = under_replicated_blocks_;
-  s.loss_episodes = redundancy_loss_episodes_;
-  s.first_loss = redundancy_first_loss_;
-  s.last_restore = redundancy_last_restore_;
-  s.debt = redundancy_debt_;
-  s.last_update = redundancy_last_update_;
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // Ingest
 // ---------------------------------------------------------------------------
@@ -1935,15 +1918,18 @@ void WorkloadDriver::run_ingest() {
   auto st = std::make_shared<IngestState>();
   st->blocks = store_.dataset(ds).blocks;
 
+  // Weak self-references: in-flight flows' callbacks own the pump and the
+  // hop chains.
   auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, ds, ext, st, pump] {
+  *pump = [this, ds, ext, st, self = std::weak_ptr(pump)] {
     while (st->in_flight < config_.ingest_concurrency && st->next < st->blocks.size()) {
       const BlockId bid = st->blocks[st->next++];
       ++st->in_flight;
       const Block& blk = store_.block(bid);
       // Chain: external -> replica0 -> replica1 -> replica2.
       auto hop = std::make_shared<std::function<void(std::size_t)>>();
-      *hop = [this, st, pump, bid, ext, hop](std::size_t i) {
+      *hop = [this, st, pump = self.lock(), bid, ext,
+              hop_self = std::weak_ptr(hop)](std::size_t i) {
         const Block& b = store_.block(bid);
         const ServerId from = i == 0 ? ext : b.replicas[i - 1];
         if (i >= b.replicas.size()) {
@@ -1956,7 +1942,9 @@ void WorkloadDriver::run_ingest() {
         fs.dst = b.replicas[i];
         fs.bytes = b.size;
         fs.kind = i == 0 ? FlowKind::kIngest : FlowKind::kReplicaWrite;
-        sim_.start_flow(fs, [hop, i](FlowSim&, const FlowRecord&) { (*hop)(i + 1); });
+        sim_.start_flow(fs, [next = hop_self.lock(), i](FlowSim&, const FlowRecord&) {
+          (*next)(i + 1);
+        });
       };
       (void)blk;
       (*hop)(0);

@@ -19,7 +19,6 @@
 // Everything is deterministic given (topology, config, seed).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -253,36 +252,6 @@ class WorkloadDriver {
   /// "workload") and starts feeding them.  Optional; call before install().
   /// No-op in a DCT_OBS=OFF build.
   void bind_metrics(obs::Registry& registry);
-
-  // --- Checkpoint support (src/ckpt) --------------------------------------
-  /// Serializable driver progress: the statistics block, both RNG streams,
-  /// job/phase id cursors, admission state, repair-queue occupancy and the
-  /// redundancy ledger.  The vertex execution graph itself lives in
-  /// type-erased simulator callbacks and is re-derived by deterministic
-  /// replay on resume (docs/CHECKPOINT.md); this state is the checksummed
-  /// progress record the replay must reproduce bit-for-bit.
-  struct CheckpointState {
-    WorkloadStats stats;
-    std::array<std::uint64_t, 4> rng{};
-    std::array<std::uint64_t, 4> mitigation_rng{};
-    std::int32_t next_job = 0;
-    std::int32_t next_phase = 0;
-    std::int32_t running_jobs = 0;
-    std::int64_t jobs_tracked = 0;    ///< lifetime JobExec count
-    std::int64_t queued_jobs = 0;     ///< submitted, awaiting admission
-    std::int64_t repair_depth = 0;
-    std::int64_t repair_in_flight = 0;
-    std::int64_t repair_peak_depth = 0;
-    // Redundancy ledger (RedundancyStats source fields, un-extended).
-    std::int64_t under_replicated = 0;
-    std::int64_t loss_episodes = 0;
-    TimeSec first_loss = -1;
-    TimeSec last_restore = -1;
-    double debt = 0;
-    TimeSec last_update = 0;
-  };
-  /// Captures the driver's serializable state (const; draws nothing).
-  [[nodiscard]] CheckpointState checkpoint_state() const;
 
   // --- Device-failure integration (wired up by ClusterExperiment) ---------
   /// Reacts to an injected server crash: stops placing work there, orphans

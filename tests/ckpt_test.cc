@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <string>
 
-#include "ckpt/snapshot.h"
 #include "ckpt/wal.h"
+#include "common/fnv.h"
 #include "common/fsio.h"
 #include "common/require.h"
 #include "core/experiment.h"
@@ -36,23 +37,6 @@ class CkptTest : public ::testing::Test {
   fs::path dir_;
 };
 
-ckpt::Snapshot sample_snapshot() {
-  ckpt::Snapshot s;
-  s.fingerprint = 0xfeedfacecafebeefULL;
-  s.id = 3;
-  s.sim_time_us = 15'000'000;
-  s.resume_count = 2;
-  s.wal_records = 17;
-  s.wal_bytes = 421;
-  s.wal_hash = 0x1234;
-  s.flowsim.now = 15.0;
-  s.flowsim.seq = 99;
-  s.workload.next_job = 7;
-  s.obs_counters = {{"flowsim.events_processed", 1543.0},
-                    {"workload.jobs_submitted", 12.0}};
-  return s;
-}
-
 FlowRecord sample_record(int i) {
   FlowRecord r;
   r.id = FlowId{i};
@@ -67,50 +51,6 @@ FlowRecord sample_record(int i) {
   r.job = JobId{i / 3};
   r.phase = PhaseId{i % 3};
   return r;
-}
-
-// --- Snapshot codec ---------------------------------------------------------
-
-TEST_F(CkptTest, SnapshotRoundTripsBitExactly) {
-  const ckpt::Snapshot s = sample_snapshot();
-  const auto bytes = ckpt::encode_snapshot(s);
-  const ckpt::Snapshot back = ckpt::decode_snapshot(bytes);
-  EXPECT_EQ(back.fingerprint, s.fingerprint);
-  EXPECT_EQ(back.id, s.id);
-  EXPECT_EQ(back.sim_time_us, s.sim_time_us);
-  EXPECT_EQ(back.resume_count, s.resume_count);
-  EXPECT_EQ(back.wal_records, s.wal_records);
-  EXPECT_EQ(back.obs_counters, s.obs_counters);
-  EXPECT_EQ(ckpt::describe_divergence(s, back), "");
-}
-
-TEST_F(CkptTest, SnapshotRejectsCorruptionAndTruncation) {
-  auto bytes = ckpt::encode_snapshot(sample_snapshot());
-  // Every single-byte flip must be caught by the FNV trailer.
-  for (std::size_t i : {std::size_t{0}, bytes.size() / 2, bytes.size() - 1}) {
-    auto bad = bytes;
-    bad[i] ^= 0x01;
-    EXPECT_THROW((void)ckpt::decode_snapshot(bad), Error) << "flip at " << i;
-  }
-  // Every proper prefix is torn.
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW(
-        (void)ckpt::decode_snapshot(std::span(bytes.data(), len)), Error)
-        << "prefix " << len;
-  }
-}
-
-TEST_F(CkptTest, DivergenceNamesTheFirstDifferingSection) {
-  const ckpt::Snapshot stored = sample_snapshot();
-  ckpt::Snapshot live = stored;
-  live.obs_counters[0].second += 1.0;
-  EXPECT_NE(ckpt::describe_divergence(stored, live), "");
-  // Lineage fields are excluded: a resumed run re-captures with a bumped
-  // resume_count and a different id schedule.
-  live = stored;
-  live.id = 99;
-  live.resume_count = 9;
-  EXPECT_EQ(ckpt::describe_divergence(stored, live), "");
 }
 
 // --- WAL --------------------------------------------------------------------
@@ -130,13 +70,12 @@ TEST_F(CkptTest, WalReopensWithDurablePrefixAndTruncatesTornTail) {
     EXPECT_TRUE(wal.resumed_existing());
     EXPECT_FALSE(wal.finalized());
     EXPECT_FALSE(wal.truncated_tail());
-    ASSERT_EQ(wal.durable_frames().size(), 10u);
+    ASSERT_EQ(wal.durable_hashes().size(), 10u);
     clean_bytes = wal.durable_bytes();
     // Replayed payloads hash-match the durable prefix.
     for (int i = 0; i < 10; ++i) {
       const auto payload = ckpt::encode_wal_record(sample_record(i));
-      EXPECT_EQ(wal.durable_frames()[i].payload_hash,
-                ckpt::fnv1a(ckpt::kFnvOffset, payload));
+      EXPECT_EQ(wal.durable_hashes()[i], fnv1a(kFnvOffset, payload));
     }
   }
   // Torn tail: append garbage that is not a whole frame.
@@ -148,15 +87,15 @@ TEST_F(CkptTest, WalReopensWithDurablePrefixAndTruncatesTornTail) {
     ckpt::TraceWal wal(path, kFp);
     EXPECT_TRUE(wal.truncated_tail());
     EXPECT_EQ(wal.truncated_bytes(), 9u);
-    EXPECT_EQ(wal.durable_frames().size(), 10u);
+    EXPECT_EQ(wal.durable_hashes().size(), 10u);
     EXPECT_EQ(wal.durable_bytes(), clean_bytes);
-    wal.finalize(10, wal.durable_chain_hash());
+    wal.finalize(10, wal.chain_hash());
     wal.flush(true);
   }
   {
     ckpt::TraceWal wal(path, kFp);
     EXPECT_TRUE(wal.finalized());
-    EXPECT_EQ(wal.durable_frames().size(), 10u);
+    EXPECT_EQ(wal.durable_hashes().size(), 10u);
   }
   // A WAL never continues a different scenario.
   EXPECT_THROW(ckpt::TraceWal(path, kFp + 1), Error);
@@ -177,54 +116,81 @@ TEST_F(CkptTest, WalSurvivesTruncationAtEveryByte) {
     atomic_write_file(path, std::span(bytes.data(), len));
     if (len < 13) {  // inside the fixed header: treated as a fresh WAL
       ckpt::TraceWal wal(path, 7);
-      EXPECT_TRUE(wal.durable_frames().empty());
+      EXPECT_TRUE(wal.durable_hashes().empty());
       continue;
     }
     ckpt::TraceWal wal(path, 7);
-    EXPECT_LE(wal.durable_frames().size(), 5u);
+    EXPECT_LE(wal.durable_hashes().size(), 5u);
     EXPECT_EQ(wal.durable_bytes() + wal.truncated_bytes(), len);
     // Frames the scan kept are exactly a prefix of what was appended.
-    for (std::size_t i = 0; i < wal.durable_frames().size(); ++i) {
+    for (std::size_t i = 0; i < wal.durable_hashes().size(); ++i) {
       const auto payload = ckpt::encode_wal_record(sample_record(int(i)));
-      EXPECT_EQ(wal.durable_frames()[i].payload_hash,
-                ckpt::fnv1a(ckpt::kFnvOffset, payload));
+      EXPECT_EQ(wal.durable_hashes()[i], fnv1a(kFnvOffset, payload));
     }
   }
 }
 
 // --- End-to-end resume ------------------------------------------------------
 
-std::vector<std::uint8_t> run_trace(double duration, std::uint64_t seed,
-                                    const std::string& ckpt_dir,
-                                    bool resume = false) {
-  ScenarioConfig cfg = scenarios::tiny(duration, seed);
-  if (!ckpt_dir.empty()) {
-    cfg.checkpoint.dir = ckpt_dir;
-    cfg.checkpoint.interval_s = 5.0;
-  }
-  ClusterExperiment exp(cfg);
-  if (resume) {
-    exp.resume(ckpt_dir);
-  } else {
-    exp.run();
-  }
+// tiny(20 s), checkpointed every 5 simulated s into `ckpt_dir` (disabled
+// when empty).
+ScenarioConfig resumable(const std::string& ckpt_dir, std::uint64_t seed = 11) {
+  ScenarioConfig cfg = scenarios::tiny(20.0, seed);
+  cfg.checkpoint.dir = ckpt_dir;
+  cfg.checkpoint.interval_s = 5.0;
+  return cfg;
+}
+
+// Runs resumable(ckpt_dir) from scratch and returns its encoded trace.
+std::vector<std::uint8_t> run_trace(const std::string& ckpt_dir) {
+  ClusterExperiment exp(resumable(ckpt_dir));
+  exp.run();
   return encode_trace(exp.trace());
 }
 
+// Payload byte ranges [begin, end) of a WAL file's record frames, each laid
+// out as [tag u8][len uvarint][payload][FNV-1a u64le] after the 13-byte
+// header.  Stops at the finalize marker.
+std::vector<std::pair<std::size_t, std::size_t>> record_payloads(
+    const std::vector<std::uint8_t>& wal) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  ByteReader r(wal);
+  r.skip(13);
+  while (!r.done() && r.u8() == 1) {
+    const auto len = static_cast<std::size_t>(r.uvarint());
+    out.emplace_back(r.position(), r.position() + len);
+    r.skip(len + 8);
+  }
+  return out;
+}
+
+// Runs `exp.resume(dir)` and returns the dct::Error message it must throw.
+std::string resume_error(ClusterExperiment& exp, const std::string& dir) {
+  try {
+    exp.resume(dir);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST_F(CkptTest, CheckpointingDoesNotPerturbTheTrace) {
-  const auto base = run_trace(20.0, 11, "");
-  const auto ckpt = run_trace(20.0, 11, (dir_ / "ck").string());
+  const auto base = run_trace("");
+  const auto ckpt = run_trace((dir_ / "ck").string());
   EXPECT_EQ(base, ckpt);
+  // The WAL is the only durable progress record.
+  std::set<std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir_ / "ck")) {
+    files.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{"ckpt_manifest.json", "trace.dwal"}));
 }
 
 TEST_F(CkptTest, ResumeOfCompletedRunReVerifiesAndMatches) {
   const std::string ck = (dir_ / "ck").string();
-  const auto first = run_trace(20.0, 11, ck);
+  const auto first = run_trace(ck);
 
-  ScenarioConfig cfg = scenarios::tiny(20.0, 11);
-  cfg.checkpoint.dir = ck;
-  cfg.checkpoint.interval_s = 5.0;
-  ClusterExperiment exp(cfg);
+  ClusterExperiment exp(resumable(ck));
   exp.resume(ck);
   EXPECT_EQ(encode_trace(exp.trace()), first);
   ASSERT_NE(exp.checkpoint_manager(), nullptr);
@@ -232,40 +198,111 @@ TEST_F(CkptTest, ResumeOfCompletedRunReVerifiesAndMatches) {
   const auto& c = exp.checkpoint_manager()->counters();
   EXPECT_GT(c.wal_records_verified, 0u);
   EXPECT_EQ(c.wal_records_appended, 0u);
-  EXPECT_GE(c.snapshots_verified, 1u);
 }
 
-TEST_F(CkptTest, ResumeRecoversFromChoppedWalViaEarlierSnapshot) {
+TEST_F(CkptTest, ResumeRecoversFromChoppedWal) {
   const std::string ck = (dir_ / "ck").string();
-  const auto reference = run_trace(20.0, 11, "");
-  (void)run_trace(20.0, 11, ck);
+  const auto reference = run_trace("");
+  std::uint64_t records = 0;
+  {
+    ClusterExperiment first(resumable(ck));
+    first.run();
+    records = first.checkpoint_manager()->counters().wal_records_appended;
+  }
 
-  // Chop a third off the WAL: the newest snapshot now points past the
-  // durable prefix and must be skipped in favor of an older one (or a
-  // from-scratch replay) — the purpose of last-two retention.
+  // Chop a third off the WAL, as a crash would: the surviving prefix is
+  // verified against the replay and the rest is appended again.
   const fs::path wal = fs::path(ck) / "trace.dwal";
   const auto size = fs::file_size(wal);
   fs::resize_file(wal, size - size / 3);
 
-  ScenarioConfig cfg = scenarios::tiny(20.0, 11);
-  cfg.checkpoint.dir = ck;
-  cfg.checkpoint.interval_s = 5.0;
-  ClusterExperiment exp(cfg);
+  ClusterExperiment exp(resumable(ck));
   exp.resume(ck);
   EXPECT_EQ(encode_trace(exp.trace()), reference);
   ASSERT_NE(exp.checkpoint_manager(), nullptr);
   EXPECT_EQ(exp.checkpoint_manager()->resume_count(), 1u);
-  EXPECT_GT(exp.checkpoint_manager()->counters().wal_records_appended, 0u);
+  const auto& c = exp.checkpoint_manager()->counters();
+  EXPECT_GT(c.wal_records_verified, 0u);
+  EXPECT_GT(c.wal_records_appended, 0u);
+  EXPECT_EQ(c.wal_records_verified + c.wal_records_appended, records);
+}
+
+TEST_F(CkptTest, ResumeRejectsAValidWalRecordTheReplayDoesNotEmit) {
+  const std::string ck = (dir_ / "ck").string();
+  (void)run_trace(ck);
+
+  // Alter record #7 and re-seal its checksum: every frame still scans as
+  // valid, so only the replay's per-record hash check can catch it.
+  const std::string wal = (fs::path(ck) / "trace.dwal").string();
+  auto bytes = read_file_bytes(wal);
+  const auto payloads = record_payloads(bytes);
+  ASSERT_GT(payloads.size(), 7u);
+  const auto [begin, end] = payloads[7];
+  bytes[begin] ^= 0x02;
+  const std::uint64_t sum = fnv1a(kFnvOffset, std::span(bytes).subspan(begin, end - begin));
+  for (int i = 0; i < 8; ++i) bytes[end + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  atomic_write_file(wal, bytes);
+
+  ClusterExperiment exp(resumable(ck));
+  const std::string what = resume_error(exp, ck);
+  EXPECT_NE(what.find("divergent resume"), std::string::npos) << what;
+  EXPECT_NE(what.find("#7 "), std::string::npos) << what;
+}
+
+TEST_F(CkptTest, ResumeRejectsAWalHoldingMoreRecordsThanTheReplay) {
+  const std::string ck = (dir_ / "ck").string();
+  (void)run_trace(ck);
+
+  // A crashed WAL (no finalize marker) with one valid record too many.
+  const fs::path wal = fs::path(ck) / "trace.dwal";
+  const auto payloads = record_payloads(read_file_bytes(wal.string()));
+  ASSERT_FALSE(payloads.empty());
+  fs::resize_file(wal, payloads.back().second + 8);
+  ClusterExperiment exp(resumable(ck));
+  {
+    ckpt::TraceWal extra(wal.string(), exp.scenario_fingerprint());
+    ASSERT_FALSE(extra.finalized());
+    extra.append(sample_record(0));
+    extra.flush(/*sync=*/false);
+  }
+
+  const std::string what = resume_error(exp, ck);
+  EXPECT_NE(what.find("divergent resume: run completed with fewer records than "
+                      "the durable WAL holds"),
+            std::string::npos)
+      << what;
+}
+
+TEST_F(CkptTest, ResumeSweepsAStaleLineageTempFile) {
+  const std::string ck = (dir_ / "ck").string();
+  const auto first = run_trace(ck);
+
+  // What a kill between the lineage's tmp write and its rename leaves.
+  const fs::path tmp = fs::path(ck) / "ckpt_manifest.json.tmp";
+  std::ofstream(tmp) << "{\n  \"resume_count\": 9";
+
+  ClusterExperiment exp(resumable(ck));
+  exp.resume(ck);
+  EXPECT_EQ(encode_trace(exp.trace()), first);
+  EXPECT_FALSE(fs::exists(tmp));
+  ASSERT_NE(exp.checkpoint_manager(), nullptr);
+  EXPECT_EQ(exp.checkpoint_manager()->counters().stale_tmp_removed, 1u);
+  EXPECT_EQ(exp.checkpoint_manager()->resume_count(), 1u);
 }
 
 TEST_F(CkptTest, ResumeRejectsADifferentScenario) {
   const std::string ck = (dir_ / "ck").string();
-  (void)run_trace(20.0, 11, ck);
-  ScenarioConfig cfg = scenarios::tiny(20.0, 12);  // different seed
-  cfg.checkpoint.dir = ck;
-  cfg.checkpoint.interval_s = 5.0;
-  ClusterExperiment exp(cfg);
-  EXPECT_THROW(exp.resume(ck), Error);
+  (void)run_trace(ck);
+  {
+    ClusterExperiment exp(resumable(ck, 12));  // different seed
+    EXPECT_THROW(exp.resume(ck), Error);
+  }
+  // The failed run must not leave the process-wide codec metrics pointing
+  // into its freed registry (a sanitized build reports the use after free).
+  EXPECT_FALSE(encode_trace(ClusterTrace(2, 1.0)).empty());
+  // The fingerprint's fold order is a format: existing WALs carry this value.
+  EXPECT_EQ(ClusterExperiment(scenarios::tiny(20.0, 11)).scenario_fingerprint(),
+            0x162383f13a9dd96cULL);
 }
 
 TEST_F(CkptTest, ConfigValidation) {

@@ -163,36 +163,6 @@ TEST(Rng, PermutationIsAPermutation) {
   EXPECT_EQ(uniq.size(), 50u);
 }
 
-// --- State serialization (checkpoint/restart, docs/CHECKPOINT.md) -----------
-
-TEST(Rng, StateRoundTripResumesBitIdentically) {
-  // Every seeded engine: capture mid-stream, restore into an unrelated
-  // engine, and the next 1000 draws must match bit for bit — the property
-  // experiment snapshots rely on to resume RNG streams after a crash.
-  for (const std::uint64_t seed : {0ULL, 1ULL, 42ULL, 0xdeadbeefULL,
-                                   0xffffffffffffffffULL}) {
-    Rng a(seed);
-    for (int i = 0; i < 17; ++i) (void)a();
-    const auto st = a.state();
-    Rng b(seed + 999);
-    b.set_state(st);
-    for (int i = 0; i < 1000; ++i) {
-      ASSERT_EQ(a(), b()) << "seed " << seed << " draw " << i;
-    }
-    // Restoring also reproduces the derived distributions.
-    b.set_state(a.state());
-    EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
-    EXPECT_DOUBLE_EQ(a.exponential(2.0), b.exponential(2.0));
-  }
-}
-
-TEST(Rng, SetStateRejectsAllZeroState) {
-  // All-zero is xoshiro's one invalid fixed point: it would emit zeros
-  // forever, so a snapshot carrying it is corrupt by definition.
-  Rng r(1);
-  EXPECT_THROW(r.set_state({0, 0, 0, 0}), Error);
-}
-
 // --- EmpiricalDistribution --------------------------------------------------
 
 TEST(EmpiricalDistribution, QuantileInterpolatesLinearly) {

@@ -59,6 +59,11 @@ TEST(TelemetrySchedule, EmptyConfigGeneratesNothing) {
   const auto schedule = generate_telemetry_schedule(topo, cfg, {}, {}, 100.0);
   EXPECT_TRUE(schedule.empty());
   EXPECT_EQ(telemetry_schedule_hash(schedule), 0u);
+
+  // The fold order is a format: manifests of earlier builds carry this value.
+  TelemetryFaultSchedule one_gap;
+  one_gap.gaps.push_back({ServerId{3}, 1.5, 2.25, GapCause::kUploadLost});
+  EXPECT_EQ(telemetry_schedule_hash(one_gap), 0x3847cbed95704389ULL);
 }
 
 TEST(TelemetrySchedule, ValidatesConfig) {

@@ -11,23 +11,20 @@
 // must be byte-identical to the reference — the determinism contract
 // (docs/DETERMINISM.md) extended across process death.
 //
-// Kill placement cycles through three modes so the interesting windows are
+// Kill placement alternates between two modes so the interesting windows are
 // actually exercised, not just hoped for:
 //
 //   timed  — SIGKILL after a uniform-random delay spanning the whole run,
 //            which with DCT_CKPT_TEST_SLOW_NS widening every 8th WAL frame
 //            lands kills mid-WAL-append (torn final frame on disk);
-//   snipe  — poll the checkpoint directory and SIGKILL the moment a
-//            snapshot-*.tmp appears, i.e. mid-snapshot-write;
 //   early  — SIGKILL within the first few milliseconds, before the WAL
-//            header or first snapshot exists.
+//            header or first checkpoint tick exists.
 //
 // Coverage is counted from the ground truth the next recovery reports in
-// ckpt_manifest.json (wal_torn_bytes, stale_tmp_removed) plus direct
-// inspection of the directory after each kill.  With --rounds >= 5 the
-// harness fails if either mid-snapshot or torn-WAL coverage stayed zero:
-// a green run certifies the recovery paths ran, not merely that no kill
-// happened to hurt.
+// ckpt_manifest.json (wal_torn_bytes, stale_tmp_removed).  With
+// --rounds >= 5 the harness fails if torn-WAL coverage stayed zero: a green
+// run certifies the recovery path ran, not merely that no kill happened to
+// hurt.
 //
 // All experiment work happens in forked children (the parent never
 // constructs an experiment and never spawns threads), so fork() is safe and
@@ -171,20 +168,12 @@ void export_outputs(const dct::ClusterExperiment& exp, const fs::path& out) {
 // ---------------------------------------------------------------------------
 // Parent side: process control, kill placement, and comparison.
 
-enum class KillMode { kTimed, kSnipe, kEarly };
+enum class KillMode { kTimed, kEarly };
 
 std::chrono::steady_clock::time_point after_ms(double ms) {
   return std::chrono::steady_clock::now() +
          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
              std::chrono::duration<double, std::milli>(ms));
-}
-
-bool has_tmp_file(const fs::path& dir) {
-  std::error_code ec;
-  for (const auto& e : fs::directory_iterator(dir, ec)) {
-    if (e.path().extension() == ".tmp") return true;
-  }
-  return false;
 }
 
 // Minimal extraction of `"key": <u64>` from the lineage JSON; 0 if absent.
@@ -212,7 +201,6 @@ std::string slurp(const fs::path& p) {
 struct RoundStats {
   int kills = 0;
   int resumes = 0;
-  int mid_snapshot = 0;   // kill landed while a snapshot .tmp existed
   int torn_wal = 0;       // a recovery truncated a torn WAL tail
   int stale_tmp = 0;      // a recovery swept a leftover .tmp
 };
@@ -220,7 +208,6 @@ struct RoundStats {
 struct Totals {
   int rounds_ok = 0;
   int kills = 0;
-  int mid_snapshot = 0;
   int torn_wal = 0;
   int stale_tmp = 0;
 };
@@ -247,19 +234,12 @@ class Runner {
 
     std::cerr << "[crash] totals: " << totals.rounds_ok << "/" << opt_.rounds
               << " rounds identical, " << totals.kills << " kills ("
-              << totals.mid_snapshot << " mid-snapshot, " << totals.torn_wal
-              << " torn-wal recoveries, " << totals.stale_tmp
+              << totals.torn_wal << " torn-wal recoveries, " << totals.stale_tmp
               << " stale-tmp sweeps)\n";
 
-    if (ok && opt_.rounds >= 5) {
-      if (totals.mid_snapshot == 0) {
-        std::cerr << "[crash] COVERAGE FAILURE: no kill landed mid-snapshot\n";
-        ok = false;
-      }
-      if (totals.torn_wal == 0) {
-        std::cerr << "[crash] COVERAGE FAILURE: no recovery saw a torn WAL\n";
-        ok = false;
-      }
+    if (ok && opt_.rounds >= 5 && totals.torn_wal == 0) {
+      std::cerr << "[crash] COVERAGE FAILURE: no recovery saw a torn WAL\n";
+      ok = false;
     }
     if (ok) {
       std::cerr << "[crash] all rounds recovered byte-identically\n";
@@ -348,8 +328,8 @@ class Runner {
       }
     }
 
-    // Kill-and-resume loop.  DCT_CKPT_TEST_SLOW_NS widens the torn-frame and
-    // mid-snapshot windows so random kills actually land inside them.
+    // Kill-and-resume loop.  DCT_CKPT_TEST_SLOW_NS widens the torn-frame
+    // windows so random kills actually land inside them.
     constexpr long kSlowNs = 2'000'000;  // 2 ms per injected stall
     RoundStats rs;
     bool completed = false;
@@ -363,8 +343,7 @@ class Runner {
         // Budget spent: let this attempt run to completion.
         ::waitpid(pid, &status, 0);
       } else {
-        const KillMode mode = static_cast<KillMode>(attempt % 3);
-        const double slow_ms = ref_ms * 2.0 + 500.0;  // generous full-run span
+        const KillMode mode = static_cast<KillMode>(attempt % 2);
         bool exited = false;
         switch (mode) {
           case KillMode::kTimed:
@@ -376,29 +355,11 @@ class Runner {
           case KillMode::kEarly:
             exited = wait_until(pid, after_ms(uniform(0.5, 25.0)), &status);
             break;
-          case KillMode::kSnipe: {
-            // Kill the instant a snapshot temp file appears on disk.
-            const auto deadline = after_ms(slow_ms);
-            for (;;) {
-              const pid_t r = ::waitpid(pid, &status, WNOHANG);
-              if (r == pid) {
-                exited = true;
-                break;
-              }
-              if (has_tmp_file(ckpt) ||
-                  std::chrono::steady_clock::now() >= deadline) {
-                break;
-              }
-              std::this_thread::sleep_for(std::chrono::microseconds(200));
-            }
-            break;
-          }
         }
         if (!exited) {
           ::kill(pid, SIGKILL);
           ::waitpid(pid, &status, 0);
           ++rs.kills;
-          if (has_tmp_file(ckpt)) ++rs.mid_snapshot;
         }
       }
 
@@ -428,15 +389,13 @@ class Runner {
         dct::testing::filter_manifest_lines(slurp(run_out / "manifest.json"));
 
     std::cerr << "[crash] round " << round << " (seed " << seed << "): "
-              << rs.kills << " kills, " << rs.resumes << " resumes, "
-              << rs.mid_snapshot << " mid-snapshot, torn-wal "
+              << rs.kills << " kills, " << rs.resumes << " resumes, torn-wal "
               << (rs.torn_wal ? "yes" : "no") << " -> trace "
               << (trace_ok ? "ok" : "MISMATCH") << ", tm "
               << (tm_ok ? "ok" : "MISMATCH") << ", manifest "
               << (manifest_ok ? "ok" : "MISMATCH") << "\n";
 
     totals.kills += rs.kills;
-    totals.mid_snapshot += rs.mid_snapshot;
     totals.torn_wal += rs.torn_wal;
     totals.stale_tmp += rs.stale_tmp;
     if (trace_ok && tm_ok && manifest_ok) {
