@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     dct::obs::Registry reg;
     auto* c = reg.counter("bench", "counter", "ops");
     auto* g = reg.gauge("bench", "gauge", "ops");
-    auto* h = reg.histogram("bench", "histogram", "ns", 1.0, 2.0, 32);
+    auto* h = reg.histogram("bench", "histogram", "ns");
     constexpr std::int64_t kIters = 10'000'000;
     dct::TextTable t("primitive cost (hot path, single thread)");
     t.header({"operation", "ns/op"});

@@ -16,8 +16,8 @@
 // telemetry schedule by construction (one experiment produces both), so the
 // comparison is matched-pair by design.  A separate zero-loss run certifies
 // the gating contract: with an empty telemetry config the observed trace IS
-// the collected trace, its encoding stays at codec version <= 4, and the
-// telemetry schedule hash is 0.
+// the collected trace, it records no coverage gaps, and the telemetry
+// schedule hash is 0.
 //
 // Exit status is the verdict: 0 iff the lossy arm really lost >= 10% of its
 // socket-log records, gap-aware STRICTLY beats naive on TM RMSRE pooled
@@ -34,7 +34,6 @@
 #include "tomography/estimators.h"
 #include "tomography/metrics.h"
 #include "tomography/routing.h"
-#include "trace/codec.h"
 #include "trace/collector_faults.h"
 #include "trace/snmp.h"
 
@@ -73,8 +72,8 @@ std::size_t socket_record_count(const dct::ClusterTrace& trace) {
 }
 
 /// The zero-loss contract: empty telemetry config => the observed trace is
-/// the collected trace by reference, encodes at a pre-telemetry codec
-/// version, and hashes to 0.  Returns true when every check holds.
+/// the collected trace by reference, records no coverage gaps, and hashes
+/// to 0.  Returns true when every check holds.
 bool check_zero_loss(double duration, std::uint64_t seed) {
   dct::ScenarioConfig cfg = dct::scenarios::lossy_telemetry(duration, seed);
   cfg.name = "lossy_telemetry_zeroloss";
@@ -92,18 +91,14 @@ bool check_zero_loss(double duration, std::uint64_t seed) {
   }
   if (exp.telemetry_schedule_hash() != 0) fail("telemetry schedule hash != 0");
   if (!exp.telemetry_schedule().empty()) fail("telemetry schedule not empty");
-  const auto encoded = dct::encode_trace(exp.observed_trace());
-  if (encoded.size() < 2 || encoded[1] > 4) {
-    fail("gap-free trace did not encode at codec version <= 4");
-  }
+  if (!exp.observed_trace().gaps().empty()) fail("observed trace has coverage gaps");
   const auto manifest = exp.manifest("telemetry_loss_zeroloss");
   if (manifest.config.at("telemetry_schedule_hash") != 0.0) {
     fail("manifest telemetry_schedule_hash != 0");
   }
   if (ok) {
     std::cout << "PASS: zero-loss run is bit-identical to a perfect plane "
-                 "(codec v"
-              << static_cast<int>(encoded[1]) << ", hash 0)\n";
+                 "(no gaps, hash 0)\n";
   }
   return ok;
 }

@@ -38,56 +38,6 @@ double LinearHistogram::fraction(std::size_t i) const {
   return total_ > 0 ? count(i) / total_ : 0.0;
 }
 
-void LinearHistogram::merge_from(const LinearHistogram& other) {
-  require(counts_.size() == other.counts_.size() && lo_ == other.lo_ &&
-              width_ == other.width_,
-          "LinearHistogram::merge_from: bin geometry mismatch");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-LogHistogram::LogHistogram(double lo, double ratio, std::size_t bins)
-    : lo_(lo), log_ratio_(std::log(ratio)), counts_(bins, 0.0) {
-  require(lo > 0.0, "LogHistogram: lo must be > 0");
-  require(ratio > 1.0, "LogHistogram: ratio must be > 1");
-  require(bins >= 1, "LogHistogram: need at least one bin");
-}
-
-void LogHistogram::add(double x, double weight) {
-  require(weight >= 0.0, "LogHistogram: weight must be non-negative");
-  std::ptrdiff_t idx = 0;
-  if (x > lo_) idx = static_cast<std::ptrdiff_t>(std::floor(std::log(x / lo_) / log_ratio_));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double LogHistogram::bin_left(std::size_t i) const {
-  require(i < counts_.size(), "LogHistogram: bin out of range");
-  return lo_ * std::exp(static_cast<double>(i) * log_ratio_);
-}
-
-void LogHistogram::merge_from(const LogHistogram& other) {
-  require(counts_.size() == other.counts_.size() && lo_ == other.lo_ &&
-              log_ratio_ == other.log_ratio_,
-          "LogHistogram::merge_from: bin geometry mismatch");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-double LogHistogram::bin_center(std::size_t i) const {
-  return bin_left(i) * std::exp(log_ratio_ / 2);
-}
-
-double LogHistogram::count(std::size_t i) const {
-  require(i < counts_.size(), "LogHistogram: bin out of range");
-  return counts_[i];
-}
-
-double LogHistogram::fraction(std::size_t i) const {
-  return total_ > 0 ? count(i) / total_ : 0.0;
-}
-
 void Cdf::add(double x, double weight) {
   require(weight >= 0.0, "Cdf: weight must be non-negative");
   points_.push_back({x, weight});

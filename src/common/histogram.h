@@ -20,13 +20,6 @@ class LinearHistogram {
 
   void add(double x, double weight = 1.0);
 
-  /// Adds `other`'s counts bin-by-bin — the shard-merge primitive for
-  /// histograms accumulated over disjoint trace shards.  Both histograms
-  /// must share the exact bin geometry (lo, width, bin count, bit-level);
-  /// merging mismatched edges would silently misattribute mass, so it
-  /// throws dct::Error instead.
-  void merge_from(const LinearHistogram& other);
-
   [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
   /// Inclusive left edge of bin i.
   [[nodiscard]] double bin_left(std::size_t i) const;
@@ -39,37 +32,6 @@ class LinearHistogram {
  private:
   double lo_;
   double width_;
-  double total_ = 0;
-  std::vector<double> counts_;
-};
-
-/// Logarithmic histogram: bin edges grow geometrically from `lo` by factor
-/// `ratio`.  Natural for heavy-tailed quantities (flow durations, rates,
-/// inter-arrival times).
-class LogHistogram {
- public:
-  /// Bins cover [lo, lo*ratio), [lo*ratio, lo*ratio^2), ...  Values below
-  /// `lo` clamp into the first bin; values beyond the last edge clamp into
-  /// the last bin.  Requires lo > 0, ratio > 1, bins >= 1.
-  LogHistogram(double lo, double ratio, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-
-  /// Bin-by-bin merge; requires bit-identical geometry (lo, ratio, bin
-  /// count) and throws dct::Error on mismatch, like
-  /// LinearHistogram::merge_from.
-  void merge_from(const LogHistogram& other);
-
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] double bin_left(std::size_t i) const;
-  [[nodiscard]] double bin_center(std::size_t i) const;  // geometric mean of edges
-  [[nodiscard]] double count(std::size_t i) const;
-  [[nodiscard]] double total() const noexcept { return total_; }
-  [[nodiscard]] double fraction(std::size_t i) const;
-
- private:
-  double lo_;
-  double log_ratio_;
   double total_ = 0;
   std::vector<double> counts_;
 };

@@ -16,8 +16,9 @@
 //     exponential duration;
 //   * each trip carries a *depth*: 1 + the deepest cascade degradation
 //     still active anywhere, so chains of induced failures are explicit in
-//     the trace (CascadeRecord, codec v4) and capped at `max_depth` —
-//     would-be deeper trips are suppressed and counted, never injected.
+//     the trace (CascadeRecord, the codec's cascade section) and capped at
+//     `max_depth` — would-be deeper trips are suppressed and counted,
+//     never injected.
 //
 // The monitor polls only when enabled (`util_threshold > 0`); a disabled
 // config schedules nothing, draws nothing, and leaves runs bit-identical.

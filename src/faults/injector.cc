@@ -283,15 +283,12 @@ void FaultInjector::bind_metrics(obs::Registry& registry) {
   m_server_incidents_ = registry.counter("faults", "server_incidents", "incidents");
   m_tor_incidents_ = registry.counter("faults", "tor_incidents", "incidents");
   m_agg_incidents_ = registry.counter("faults", "agg_incidents", "incidents");
-  // Repair times run from ~15 s link flaps to ~300 s switch repairs (and
-  // their exponential tails): 1 s * 1.6^24 covers ~8e4 s.
-  m_repair_s_ = registry.histogram("faults", "repair_seconds", "s", 1.0, 1.6, 24);
+  m_repair_s_ = registry.histogram("faults", "repair_seconds", "s");
   m_degradations_injected_ = registry.counter("faults", "degradations_injected", "episodes");
   m_degradations_skipped_ = registry.counter("faults", "degradations_skipped", "episodes");
   m_flap_transitions_ = registry.counter("faults", "flap_transitions", "transitions");
-  // Episode durations share the repair-time scale.
-  m_degraded_link_s_ = registry.histogram("faults", "degraded_link_seconds", "s", 1.0, 1.6, 24);
-  m_straggler_s_ = registry.histogram("faults", "straggler_seconds", "s", 1.0, 1.6, 24);
+  m_degraded_link_s_ = registry.histogram("faults", "degraded_link_seconds", "s");
+  m_straggler_s_ = registry.histogram("faults", "straggler_seconds", "s");
   m_cascade_trips_ = registry.counter("faults", "cascade_trips", "trips");
   m_cascades_suppressed_ = registry.counter("faults", "cascades_suppressed", "trips");
   m_cascade_depth_ = registry.gauge("faults", "cascade_max_depth", "depth");

@@ -22,9 +22,14 @@ std::string_view to_string(FlowKind kind) {
 }
 
 void FlowSimConfig::validate() const {
-  require(end_time > 0, "FlowSimConfig: end_time must be > 0");
+  // Finite too: a run over an infinite horizon never ends.
+  require(std::isfinite(end_time) && end_time > 0,
+          "FlowSimConfig: end_time must be finite and > 0");
   require(recompute_interval >= 0, "FlowSimConfig: recompute_interval must be >= 0");
   require(util_bin_width > 0, "FlowSimConfig: util_bin_width must be > 0");
+  // The constructor casts this ratio to a size_t utilization-bin count.
+  require(end_time / util_bin_width < 0x1p63,
+          "FlowSimConfig: end_time / util_bin_width overflows the bin count");
   require(fail_rate_floor >= 0, "FlowSimConfig: fail_rate_floor must be >= 0");
   require(fail_timeout > 0, "FlowSimConfig: fail_timeout must be > 0");
   require(connect_share_floor >= 0, "FlowSimConfig: connect_share_floor must be >= 0");
@@ -528,10 +533,8 @@ void FlowSim::bind_metrics(obs::Registry& registry) {
   m_recomputes_ = registry.counter("flowsim", "recomputes", "passes");
   m_events_ = registry.counter("flowsim", "events_processed", "events");
   m_active_flows_ = registry.gauge("flowsim", "active_flows", "flows");
-  m_recompute_ns_ =
-      registry.histogram("flowsim", "recompute_wall_ns", "ns", 100.0, 2.0, 24);
-  m_network_change_ns_ =
-      registry.histogram("flowsim", "network_change_wall_ns", "ns", 100.0, 2.0, 24);
+  m_recompute_ns_ = registry.histogram("flowsim", "recompute_wall_ns", "ns");
+  m_network_change_ns_ = registry.histogram("flowsim", "network_change_wall_ns", "ns");
 #else
   (void)registry;
 #endif

@@ -6,18 +6,8 @@
 
 namespace dct::obs {
 
-Histogram::Histogram(double lo, double ratio, std::size_t bins)
-    : hist_(lo, ratio, bins) {}
-
 void Histogram::observe(double v) noexcept {
-  hist_.add(v);
-  if (count_ == 0) {
-    min_ = v;
-    max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
+  max_ = count_ == 0 ? v : std::max(max_, v);
   ++count_;
   sum_ += v;
 }
@@ -68,11 +58,10 @@ Gauge* Registry::gauge(std::string subsystem, std::string name, std::string unit
 }
 
 Histogram* Registry::histogram(std::string subsystem, std::string name,
-                               std::string unit, double lo, double ratio,
-                               std::size_t bins) {
+                               std::string unit) {
   Metric& m = find_or_create(std::move(subsystem), std::move(name), std::move(unit),
                              MetricKind::kHistogram);
-  if (!m.histogram) m.histogram = std::make_unique<Histogram>(lo, ratio, bins);
+  if (!m.histogram) m.histogram = std::make_unique<Histogram>();
   return m.histogram.get();
 }
 

@@ -1,5 +1,5 @@
-// Low-overhead metrics: counters, gauges, fixed-bucket latency histograms
-// and the registry that names them.
+// Low-overhead metrics: counters, gauges, latency/size histograms and the
+// registry that names them.
 //
 // This is the library's self-instrumentation — the same treatment the paper
 // gave its cluster (server-centric event logging with quantified overhead,
@@ -9,7 +9,7 @@
 // runs and platforms.
 //
 // Hot-path cost: a Counter::inc is one add on a plain uint64 member; a
-// Histogram::observe is a log() plus a few adds.  Neither allocates.  The
+// Histogram::observe is a compare plus two adds.  Neither allocates.  The
 // instrumentation sites themselves go through the DCT_OBS macros (obs/obs.h)
 // and vanish entirely in a -DDCT_OBS=OFF build; bench/obs_overhead.cpp is
 // the Table 1 analogue quantifying the enabled cost.
@@ -22,8 +22,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "common/histogram.h"
 
 namespace dct::obs {
 
@@ -48,35 +46,22 @@ class Gauge {
   double value_ = 0;
 };
 
-/// Fixed-bucket latency/size histogram with geometric bucket edges, plus
-/// exact count/sum/min/max.  Reuses common/histogram's LogHistogram for the
-/// buckets: bucket i covers [lo*ratio^i, lo*ratio^(i+1)), with out-of-range
-/// observations clamped into the first/last bucket.
+/// Latency/size histogram reduced to the summary manifests export: exact
+/// count, sum, mean and max of every observation.
 class Histogram {
  public:
-  /// Requires lo > 0, ratio > 1, bins >= 1 (enforced by LogHistogram).
-  Histogram(double lo, double ratio, std::size_t bins);
-
   void observe(double v) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
-  [[nodiscard]] double min() const noexcept { return count_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return count_ > 0 ? max_ : 0.0; }
   [[nodiscard]] double mean() const noexcept {
     return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
   }
 
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return hist_.bin_count(); }
-  /// Inclusive left edge of bucket i.
-  [[nodiscard]] double bucket_left(std::size_t i) const { return hist_.bin_left(i); }
-  [[nodiscard]] double bucket_value(std::size_t i) const { return hist_.count(i); }
-
  private:
-  LogHistogram hist_;
   std::uint64_t count_ = 0;
   double sum_ = 0;
-  double min_ = 0;
   double max_ = 0;
 };
 
@@ -109,8 +94,7 @@ class Registry {
  public:
   Counter* counter(std::string subsystem, std::string name, std::string unit);
   Gauge* gauge(std::string subsystem, std::string name, std::string unit);
-  Histogram* histogram(std::string subsystem, std::string name, std::string unit,
-                       double lo, double ratio, std::size_t bins);
+  Histogram* histogram(std::string subsystem, std::string name, std::string unit);
 
   /// All metrics, sorted by (subsystem, name).
   [[nodiscard]] std::vector<const Metric*> metrics() const;

@@ -1,10 +1,13 @@
 #include "testing/generator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <random>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -26,13 +29,31 @@ struct Knob {
   void (*set)(ScenarioConfig&, double);
 };
 
+// A repro file is untrusted input: a knob value must be finite and inside
+// its field's range before the cast (an out-of-range float-to-int cast is
+// undefined behaviour).  Bool fields take exactly 0 or 1.
+template <typename T>
+T knob_value(const char* key, double v) {
+  bool ok = std::isfinite(v);
+  if constexpr (std::is_same_v<T, bool>) {
+    ok = ok && (v == 0.0 || v == 1.0);
+  } else if constexpr (std::is_integral_v<T>) {
+    // max + 1 is a power of two, so the upper bound is exact in double.
+    ok = ok && v >= static_cast<double>(std::numeric_limits<T>::min()) &&
+         v < static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+  }
+  require(ok, std::string("scenario_from_repro: knob ") + key +
+                  " is non-finite or outside its field's range");
+  return static_cast<T>(v);
+}
+
 #define DCT_KNOB(key, field, type)                               \
   Knob {                                                         \
     key, [](const ScenarioConfig& c) -> double {                 \
       return static_cast<double>(c.field);                       \
     },                                                           \
         [](ScenarioConfig& c, double v) {                        \
-          c.field = static_cast<type>(v);                        \
+          c.field = knob_value<type>(key, v);                    \
         }                                                        \
   }
 
@@ -176,35 +197,35 @@ ScenarioConfig generate_scenario(std::uint64_t seed, double max_duration) {
   cfg.topology.racks = uni_int(2, 4);
   cfg.topology.servers_per_rack = uni_int(4, 8);
   cfg.topology.redundant_tor_uplinks = coin(0.5);
-  cfg.workload.jobs_per_second = uni(0.3, 1.2);
+  cfg.workload.jobs_per_second = uni(0.3, 1.5);
 
   if (coin(0.75)) {
-    cfg.faults.link_flap_rate = uni(0.0, 3.0);
-    cfg.faults.link_flap_mean_duration = uni(3.0, 10.0);
-    cfg.faults.server_crash_rate = uni(0.0, 3.0);
-    cfg.faults.server_mean_repair = uni(10.0, 30.0);
-    cfg.faults.tor_crash_rate = uni(0.0, 0.8);
-    cfg.faults.tor_mean_repair = uni(5.0, 20.0);
+    cfg.faults.link_flap_rate = uni(0.0, 4.0);
+    cfg.faults.link_flap_mean_duration = uni(3.0, 15.0);
+    cfg.faults.server_crash_rate = uni(0.0, 4.0);
+    cfg.faults.server_mean_repair = uni(10.0, 60.0);
+    cfg.faults.tor_crash_rate = uni(0.0, 1.0);
+    cfg.faults.tor_mean_repair = uni(5.0, 30.0);
     cfg.faults.agg_crash_rate = uni(0.0, 0.4);
     cfg.faults.agg_mean_repair = uni(5.0, 20.0);
-    cfg.faults.rack_power_rate = uni(0.0, 1.5);
-    cfg.faults.rack_power_mean_repair = uni(5.0, 25.0);
-    cfg.faults.domain_burst_jitter = uni(0.0, 2.0);
+    cfg.faults.rack_power_rate = uni(0.0, 2.0);
+    cfg.faults.rack_power_mean_repair = uni(5.0, 40.0);
+    cfg.faults.domain_burst_jitter = uni(0.0, 3.0);
   }
   if (coin(0.7)) {
-    cfg.degradations.link_capacity_rate = uni(0.0, 15.0);
-    cfg.degradations.link_capacity_mean_duration = uni(3.0, 20.0);
-    cfg.degradations.link_flap_rate = uni(0.0, 8.0);
-    cfg.degradations.link_flap_mean_duration = uni(3.0, 15.0);
-    cfg.degradations.link_lossy_rate = uni(0.0, 15.0);
-    cfg.degradations.link_lossy_mean_duration = uni(3.0, 20.0);
-    cfg.degradations.straggler_rate = uni(0.0, 30.0);
-    cfg.degradations.straggler_mean_duration = uni(5.0, 25.0);
-    cfg.degradations.tor_domain_rate = uni(0.0, 5.0);
-    cfg.degradations.tor_domain_mean_duration = uni(3.0, 20.0);
-    cfg.degradations.vlan_domain_rate = uni(0.0, 2.5);
-    cfg.degradations.vlan_domain_mean_duration = uni(3.0, 20.0);
-    cfg.degradations.domain_burst_jitter = uni(0.0, 2.0);
+    cfg.degradations.link_capacity_rate = uni(0.0, 20.0);
+    cfg.degradations.link_capacity_mean_duration = uni(3.0, 30.0);
+    cfg.degradations.link_flap_rate = uni(0.0, 10.0);
+    cfg.degradations.link_flap_mean_duration = uni(3.0, 20.0);
+    cfg.degradations.link_lossy_rate = uni(0.0, 20.0);
+    cfg.degradations.link_lossy_mean_duration = uni(3.0, 30.0);
+    cfg.degradations.straggler_rate = uni(0.0, 40.0);
+    cfg.degradations.straggler_mean_duration = uni(5.0, 40.0);
+    cfg.degradations.tor_domain_rate = uni(0.0, 6.0);
+    cfg.degradations.tor_domain_mean_duration = uni(3.0, 30.0);
+    cfg.degradations.vlan_domain_rate = uni(0.0, 3.0);
+    cfg.degradations.vlan_domain_mean_duration = uni(3.0, 30.0);
+    cfg.degradations.domain_burst_jitter = uni(0.0, 3.0);
   }
   if (coin(0.5)) {
     cfg.cascades.util_threshold = uni(0.5, 0.95);
@@ -214,18 +235,18 @@ ScenarioConfig generate_scenario(std::uint64_t seed, double max_duration) {
     cfg.cascades.max_depth = uni_int(1, 4);
     cfg.cascades.severity_floor = uni(0.1, 0.4);
     cfg.cascades.severity_ceil = uni(0.5, 0.9);
-    cfg.cascades.mean_duration = uni(3.0, 15.0);
+    cfg.cascades.mean_duration = uni(3.0, 20.0);
     cfg.cascades.seed = seed;
   }
   if (coin(0.6)) {
-    cfg.telemetry.crash_buffer_window = uni(0.0, 10.0);
+    cfg.telemetry.crash_buffer_window = uni(0.0, 20.0);
     cfg.telemetry.upload_loss_prob = uni(0.0, 0.3);
     cfg.telemetry.upload_truncate_prob = uni(0.0, 0.3);
-    cfg.telemetry.upload_interval = coin(0.5) ? uni(3.0, 10.0) : 0.0;
+    cfg.telemetry.upload_interval = coin(0.5) ? uni(3.0, 15.0) : 0.0;
     cfg.telemetry.straggler_truncate_prob = uni(0.0, 1.0);
     cfg.telemetry.duplicate_prob = uni(0.0, 0.3);
     cfg.telemetry.snmp_timeout_prob = uni(0.0, 0.2);
-    cfg.telemetry.snmp_poll_interval = uni(3.0, 10.0);
+    cfg.telemetry.snmp_poll_interval = uni(3.0, 15.0);
     cfg.telemetry.counter_reset_on_reboot = coin(0.5);
     cfg.telemetry.snmp_counter_width = coin(0.5) ? 32 : 0;
     cfg.telemetry.seed = seed ^ 0x7E1E7E1Eull;

@@ -2,8 +2,9 @@
 // repro files for the property-based testing harness (tools/proptest).
 //
 // Generation is a pure function of the seed: generate_scenario(seed) draws
-// every knob the chaos/fault/telemetry subsystems expose from one seeded
-// stream, so a failing round is reproducible from its seed alone.  The
+// every knob the fault/degradation/cascade/telemetry subsystems expose from
+// one seeded stream, so a failing round is reproducible from its seed alone
+// (`proptest --rounds 1 --seed S --max-duration D` re-runs it).  The
 // ScenarioGenerator wrapper adds coverage guidance on top: each candidate
 // scenario is fingerprinted by which optional subsystems it enables
 // (feature_mask), and next() skips ahead to seeds whose combination has not
@@ -46,7 +47,9 @@ enum ScenarioFeature : std::uint32_t {
 /// 2-4 rack x 4-8 server cluster on a 10..max_duration second horizon, with
 /// every fault / degradation / cascade / telemetry / mitigation knob drawn
 /// from the seeded stream and each subsystem group present or absent by its
-/// own coin so feature combinations vary.
+/// own coin so feature combinations vary.  Rates and durations reach storm
+/// intensity (minute-long server repairs, dense straggler and lossy-link
+/// episodes), so one draw covers mild mixes and failure storms alike.
 [[nodiscard]] ScenarioConfig generate_scenario(std::uint64_t seed,
                                                double max_duration = 30.0);
 

@@ -7,8 +7,8 @@
 // regardless of what the fault layer throws at it — byte conservation,
 // monotone sim-time, capacity bounds, the telemetry gap ledger's accounting
 // identities, codec round trips — lives here once, and every harness
-// (tools/chaos, tools/crash, tools/proptest, unit tests) evaluates the same
-// registry instead of keeping a private checklist.  docs/TESTING.md is the
+// (tools/proptest, tools/crash, unit tests) evaluates the same registry
+// instead of keeping a private checklist.  docs/TESTING.md is the
 // human-readable index of the catalogue.
 #pragma once
 

@@ -101,25 +101,12 @@ namespace {
 
 constexpr std::uint8_t kLogMagic = 0xD7;
 constexpr std::uint8_t kTraceMagic = 0xDC;
-// Version 1: socket logs + job/phase/read-failure/evacuation sections.
-// Version 2: appends a device-failure section.  The encoder emits version 1
-// whenever that section is empty, so fault-free traces stay bit-identical
-// to pre-fault-subsystem encodings.
-// Version 3: appends a degradation section (gray failures).  Emitted only
-// when degradations were recorded, so fail-stop-only traces stay
-// bit-identical to version 2 and clean traces to version 1.
-// Version 4: appends a cascade-lineage section (overload-induced secondary
-// degradations).  Emitted only when cascades were recorded, so cascade-free
-// traces stay bit-identical to version 3 (and below).
-// Version 5: appends a telemetry-gap section (per-server coverage gaps from
-// a lossy collection pipeline).  Emitted only when gaps were recorded, so
-// traces merged under a perfect telemetry plane stay bit-identical to
-// version 4 (and below).
-constexpr std::uint8_t kTraceVersion = 1;
-constexpr std::uint8_t kTraceVersionFailures = 2;
-constexpr std::uint8_t kTraceVersionDegradations = 3;
-constexpr std::uint8_t kTraceVersionCascades = 4;
-constexpr std::uint8_t kTraceVersionTelemetry = 5;
+// The one trace layout: magic, version, server count, duration, one
+// length-prefixed log per server, then every application-log section as a
+// count followed by its records — jobs, phases, read failures, evacuations,
+// device failures, degradations, cascades, telemetry gaps.  An empty section
+// costs its one count byte.  The decoder accepts only this version.
+constexpr std::uint8_t kTraceVersion = 5;
 
 // A corrupt count field must not drive a multi-gigabyte reserve() or a
 // billion-iteration decode loop.  Every record of every section costs at
@@ -277,17 +264,8 @@ std::vector<std::uint8_t> encode_trace(const ClusterTrace& trace) {
   obs::WallNsCounter obs_timer(g_codec_metrics.encode_wall_ns);
 #endif
   ByteWriter w;
-  const bool has_failures = !trace.device_failures().empty();
-  const bool has_degradations = !trace.degradations().empty();
-  const bool has_cascades = !trace.cascades().empty();
-  const bool has_gaps = !trace.gaps().empty();
-  const std::uint8_t version = has_gaps           ? kTraceVersionTelemetry
-                               : has_cascades     ? kTraceVersionCascades
-                               : has_degradations ? kTraceVersionDegradations
-                               : has_failures     ? kTraceVersionFailures
-                                                  : kTraceVersion;
   w.u8(kTraceMagic);
-  w.u8(version);
+  w.u8(kTraceVersion);
   w.svarint(trace.server_count());
   w.time_us(trace.duration());
 
@@ -335,52 +313,42 @@ std::vector<std::uint8_t> encode_trace(const ClusterTrace& trace) {
     w.uvarint(static_cast<std::uint64_t>(e.bytes_moved));
     w.svarint(e.blocks_moved);
   }
-  // A v3 trace writes the failure section even when empty: section presence
-  // is a function of the version byte alone, never of sibling sections.
-  if (version >= kTraceVersionFailures) {
-    w.uvarint(trace.device_failures().size());
-    for (const DeviceFailureRecord& d : trace.device_failures()) {
-      w.time_us(d.start);
-      w.time_us(d.end);
-      w.u8(static_cast<std::uint8_t>(d.device));
-      w.svarint(d.entity);
-      w.svarint(d.flows_killed);
-      w.svarint(d.flows_rerouted);
-    }
+  w.uvarint(trace.device_failures().size());
+  for (const DeviceFailureRecord& d : trace.device_failures()) {
+    w.time_us(d.start);
+    w.time_us(d.end);
+    w.u8(static_cast<std::uint8_t>(d.device));
+    w.svarint(d.entity);
+    w.svarint(d.flows_killed);
+    w.svarint(d.flows_rerouted);
   }
-  if (version >= kTraceVersionDegradations) {
-    w.uvarint(trace.degradations().size());
-    for (const DegradationRecord& d : trace.degradations()) {
-      w.time_us(d.start);
-      w.time_us(d.end);
-      w.u8(static_cast<std::uint8_t>(d.kind));
-      w.svarint(d.entity);
-      // Severity quantized to 1e-6, same resolution as timestamps.
-      w.svarint(std::llround(d.severity * 1e6));
-      w.time_us(d.period);
-    }
+  w.uvarint(trace.degradations().size());
+  for (const DegradationRecord& d : trace.degradations()) {
+    w.time_us(d.start);
+    w.time_us(d.end);
+    w.u8(static_cast<std::uint8_t>(d.kind));
+    w.svarint(d.entity);
+    // Severity quantized to 1e-6, same resolution as timestamps.
+    w.svarint(std::llround(d.severity * 1e6));
+    w.time_us(d.period);
   }
-  if (version >= kTraceVersionCascades) {
-    w.uvarint(trace.cascades().size());
-    for (const CascadeRecord& c : trace.cascades()) {
-      w.time_us(c.start);
-      w.time_us(c.end);
-      w.svarint(c.link);
-      w.svarint(c.depth);
-      // Severity / utilization quantized to 1e-6, like timestamps.
-      w.svarint(std::llround(c.severity * 1e6));
-      w.svarint(std::llround(c.utilization * 1e6));
-    }
+  w.uvarint(trace.cascades().size());
+  for (const CascadeRecord& c : trace.cascades()) {
+    w.time_us(c.start);
+    w.time_us(c.end);
+    w.svarint(c.link);
+    w.svarint(c.depth);
+    // Severity / utilization quantized to 1e-6, like timestamps.
+    w.svarint(std::llround(c.severity * 1e6));
+    w.svarint(std::llround(c.utilization * 1e6));
   }
-  if (version >= kTraceVersionTelemetry) {
-    w.uvarint(trace.gaps().size());
-    for (const GapRecord& g : trace.gaps()) {
-      w.time_us(g.start);
-      w.time_us(g.end);
-      w.svarint(g.server.value());
-      w.u8(static_cast<std::uint8_t>(g.cause));
-      w.uvarint(static_cast<std::uint64_t>(std::max<std::int32_t>(g.records_lost, 0)));
-    }
+  w.uvarint(trace.gaps().size());
+  for (const GapRecord& g : trace.gaps()) {
+    w.time_us(g.start);
+    w.time_us(g.end);
+    w.svarint(g.server.value());
+    w.u8(static_cast<std::uint8_t>(g.cause));
+    w.uvarint(static_cast<std::uint64_t>(std::max<std::int32_t>(g.records_lost, 0)));
   }
 #if DCT_OBS_ENABLED
   if (g_codec_metrics.encoded_bytes != nullptr) {
@@ -405,9 +373,7 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data,
 #endif
   ByteReader r(data);
   require(r.u8() == kTraceMagic, "decode_trace: bad magic");
-  const std::uint8_t version = r.u8();
-  require(version >= kTraceVersion && version <= kTraceVersionTelemetry,
-          "decode_trace: unsupported version");
+  require(r.u8() == kTraceVersion, "decode_trace: unsupported version");
   const auto servers = static_cast<std::int32_t>(r.svarint());
   require(servers >= 0, "decode_trace: negative server count");
   check_count(static_cast<std::uint64_t>(servers), r.remaining(),
@@ -574,7 +540,10 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data,
     PhaseLogRecord p;
     p.job = JobId{static_cast<std::int32_t>(r.svarint())};
     p.phase = PhaseId{static_cast<std::int32_t>(r.svarint())};
-    p.kind = static_cast<PhaseKind>(r.u8());
+    const std::uint8_t kind = r.u8();
+    require(kind <= static_cast<std::uint8_t>(PhaseKind::kOutput),
+            "decode_trace: bad phase kind");
+    p.kind = static_cast<PhaseKind>(kind);
     p.start = r.time_us();
     p.end = r.time_us();
     p.vertices = static_cast<std::int32_t>(r.svarint());
@@ -605,75 +574,67 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data,
     e.blocks_moved = static_cast<std::int32_t>(r.svarint());
     trace.record_evacuation(e);
   }
-  if (version >= kTraceVersionFailures) {
-    const std::uint64_t n_df = r.uvarint();
-    check_count(n_df, r.remaining(),
-                "decode_trace: device-failure count exceeds payload");
-    for (std::uint64_t i = 0; i < n_df; ++i) {
-      DeviceFailureRecord d;
-      d.start = r.time_us();
-      d.end = r.time_us();
-      const std::uint8_t kind = r.u8();
-      require(kind <= static_cast<std::uint8_t>(DeviceKind::kLink),
-              "decode_trace: bad device kind");
-      d.device = static_cast<DeviceKind>(kind);
-      d.entity = static_cast<std::int32_t>(r.svarint());
-      d.flows_killed = static_cast<std::int32_t>(r.svarint());
-      d.flows_rerouted = static_cast<std::int32_t>(r.svarint());
-      trace.record_device_failure(d);
-    }
+  const std::uint64_t n_df = r.uvarint();
+  check_count(n_df, r.remaining(),
+              "decode_trace: device-failure count exceeds payload");
+  for (std::uint64_t i = 0; i < n_df; ++i) {
+    DeviceFailureRecord d;
+    d.start = r.time_us();
+    d.end = r.time_us();
+    const std::uint8_t kind = r.u8();
+    require(kind <= static_cast<std::uint8_t>(DeviceKind::kLink),
+            "decode_trace: bad device kind");
+    d.device = static_cast<DeviceKind>(kind);
+    d.entity = static_cast<std::int32_t>(r.svarint());
+    d.flows_killed = static_cast<std::int32_t>(r.svarint());
+    d.flows_rerouted = static_cast<std::int32_t>(r.svarint());
+    trace.record_device_failure(d);
   }
-  if (version >= kTraceVersionDegradations) {
-    const std::uint64_t n_dg = r.uvarint();
-    check_count(n_dg, r.remaining(),
-                "decode_trace: degradation count exceeds payload");
-    for (std::uint64_t i = 0; i < n_dg; ++i) {
-      DegradationRecord d;
-      d.start = r.time_us();
-      d.end = r.time_us();
-      const std::uint8_t kind = r.u8();
-      require(kind <= static_cast<std::uint8_t>(DegradationKind::kServerStraggler),
-              "decode_trace: bad degradation kind");
-      d.kind = static_cast<DegradationKind>(kind);
-      d.entity = static_cast<std::int32_t>(r.svarint());
-      d.severity = static_cast<double>(r.svarint()) * 1e-6;
-      d.period = r.time_us();
-      trace.record_degradation(d);
-    }
+  const std::uint64_t n_dg = r.uvarint();
+  check_count(n_dg, r.remaining(),
+              "decode_trace: degradation count exceeds payload");
+  for (std::uint64_t i = 0; i < n_dg; ++i) {
+    DegradationRecord d;
+    d.start = r.time_us();
+    d.end = r.time_us();
+    const std::uint8_t kind = r.u8();
+    require(kind <= static_cast<std::uint8_t>(DegradationKind::kServerStraggler),
+            "decode_trace: bad degradation kind");
+    d.kind = static_cast<DegradationKind>(kind);
+    d.entity = static_cast<std::int32_t>(r.svarint());
+    d.severity = static_cast<double>(r.svarint()) * 1e-6;
+    d.period = r.time_us();
+    trace.record_degradation(d);
   }
-  if (version >= kTraceVersionCascades) {
-    const std::uint64_t n_cs = r.uvarint();
-    check_count(n_cs, r.remaining(), "decode_trace: cascade count exceeds payload");
-    for (std::uint64_t i = 0; i < n_cs; ++i) {
-      CascadeRecord c;
-      c.start = r.time_us();
-      c.end = r.time_us();
-      c.link = static_cast<std::int32_t>(r.svarint());
-      c.depth = static_cast<std::int32_t>(r.svarint());
-      require(c.depth >= 1, "decode_trace: cascade depth must be >= 1");
-      c.severity = static_cast<double>(r.svarint()) * 1e-6;
-      c.utilization = static_cast<double>(r.svarint()) * 1e-6;
-      trace.record_cascade(c);
-    }
+  const std::uint64_t n_cs = r.uvarint();
+  check_count(n_cs, r.remaining(), "decode_trace: cascade count exceeds payload");
+  for (std::uint64_t i = 0; i < n_cs; ++i) {
+    CascadeRecord c;
+    c.start = r.time_us();
+    c.end = r.time_us();
+    c.link = static_cast<std::int32_t>(r.svarint());
+    c.depth = static_cast<std::int32_t>(r.svarint());
+    require(c.depth >= 1, "decode_trace: cascade depth must be >= 1");
+    c.severity = static_cast<double>(r.svarint()) * 1e-6;
+    c.utilization = static_cast<double>(r.svarint()) * 1e-6;
+    trace.record_cascade(c);
   }
-  if (version >= kTraceVersionTelemetry) {
-    const std::uint64_t n_gaps = r.uvarint();
-    check_count(n_gaps, r.remaining(), "decode_trace: gap count exceeds payload");
-    for (std::uint64_t i = 0; i < n_gaps; ++i) {
-      GapRecord g;
-      g.start = r.time_us();
-      g.end = r.time_us();
-      g.server = ServerId{static_cast<std::int32_t>(r.svarint())};
-      const std::uint8_t cause = r.u8();
-      require(cause <= static_cast<std::uint8_t>(GapCause::kDecodeTruncation),
-              "decode_trace: bad gap cause");
-      g.cause = static_cast<GapCause>(cause);
-      const std::uint64_t lost = r.uvarint();
-      require(lost <= static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max()),
-              "decode_trace: gap records_lost overflows");
-      g.records_lost = static_cast<std::int32_t>(lost);
-      trace.record_gap(g);
-    }
+  const std::uint64_t n_gaps = r.uvarint();
+  check_count(n_gaps, r.remaining(), "decode_trace: gap count exceeds payload");
+  for (std::uint64_t i = 0; i < n_gaps; ++i) {
+    GapRecord g;
+    g.start = r.time_us();
+    g.end = r.time_us();
+    g.server = ServerId{static_cast<std::int32_t>(r.svarint())};
+    const std::uint8_t cause = r.u8();
+    require(cause <= static_cast<std::uint8_t>(GapCause::kDecodeTruncation),
+            "decode_trace: bad gap cause");
+    g.cause = static_cast<GapCause>(cause);
+    const std::uint64_t lost = r.uvarint();
+    require(lost <= static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max()),
+            "decode_trace: gap records_lost overflows");
+    g.records_lost = static_cast<std::int32_t>(lost);
+    trace.record_gap(g);
   }
   trace.build_indices();
   return trace;

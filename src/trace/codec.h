@@ -84,12 +84,13 @@ bool decode_server_log_salvage(std::span<const std::uint8_t> data, ServerLog& ou
 /// the compression ratio is quoted against.
 [[nodiscard]] std::size_t raw_encoding_size(const ServerLog& log) noexcept;
 
-/// Serializes an entire ClusterTrace (all server logs + application logs).
-/// Traces with telemetry coverage gaps encode as version 5 (a gap section
-/// after the cascade section); gap-free traces stay bit-identical to the
-/// v4-and-below encodings.
+/// Serializes an entire ClusterTrace (all server logs + application logs)
+/// in the one sectioned layout (version byte 5): every section — device
+/// failures, degradations, cascades and telemetry gaps included — is
+/// written as a count plus its records, even when empty.
 [[nodiscard]] std::vector<std::uint8_t> encode_trace(const ClusterTrace& trace);
-/// Inverse of encode_trace.
+/// Inverse of encode_trace.  Any version byte other than 5 throws
+/// "decode_trace: unsupported version".
 [[nodiscard]] ClusterTrace decode_trace(std::span<const std::uint8_t> data);
 
 /// Decoder hardening knobs for payloads that passed through a lossy

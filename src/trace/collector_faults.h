@@ -11,7 +11,7 @@
 // the fail-stop and degradation schedules that drive the *measured* faults
 // — and applies it to a perfectly collected ClusterTrace to produce the
 // trace an operator would actually have, with per-server coverage gaps
-// recorded alongside (GapRecord, codec v5).
+// recorded alongside (GapRecord, the trace codec's gap section).
 //
 // Like every other schedule in this codebase, the output is a pure function
 // of (topology, config, fault events, degradation events, horizon): each

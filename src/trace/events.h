@@ -188,8 +188,7 @@ struct GapRecord {
 /// matching DegradationRecord carries the episode itself; this record carries
 /// the *cause* — the utilization that tripped it and the chain depth (1 =
 /// induced by organic congestion, d > 1 = induced while a depth d-1 cascade
-/// was still active).  Codec section is v4-gated: traces without cascades
-/// encode bit-identically to v3.
+/// was still active).  Encoded in the trace codec's cascade section.
 struct CascadeRecord {
   TimeSec start = 0;           ///< trip time
   TimeSec end = 0;             ///< end of the induced lossy episode

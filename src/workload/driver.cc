@@ -263,19 +263,12 @@ void WorkloadDriver::bind_metrics(obs::Registry& registry) {
       registry.counter("workload", "rereplication_bytes", "bytes");
   m_vertices_reexecuted_ =
       registry.counter("workload", "vertices_reexecuted", "vertices");
-  // Phase latencies span ~20 ms vertex startups to multi-hundred-second
-  // production phases: 0.01 s * 1.5^32 covers ~4e3 s.
-  m_phase_extract_s_ =
-      registry.histogram("workload", "phase_seconds_extract", "s", 0.01, 1.5, 32);
-  m_phase_aggregate_s_ =
-      registry.histogram("workload", "phase_seconds_aggregate", "s", 0.01, 1.5, 32);
-  m_phase_combine_s_ =
-      registry.histogram("workload", "phase_seconds_combine", "s", 0.01, 1.5, 32);
-  m_phase_output_s_ =
-      registry.histogram("workload", "phase_seconds_output", "s", 0.01, 1.5, 32);
-  m_job_s_ = registry.histogram("workload", "job_seconds", "s", 0.01, 1.5, 32);
-  m_retry_backoff_s_ =
-      registry.histogram("workload", "retry_backoff_seconds", "s", 0.01, 1.5, 32);
+  m_phase_extract_s_ = registry.histogram("workload", "phase_seconds_extract", "s");
+  m_phase_aggregate_s_ = registry.histogram("workload", "phase_seconds_aggregate", "s");
+  m_phase_combine_s_ = registry.histogram("workload", "phase_seconds_combine", "s");
+  m_phase_output_s_ = registry.histogram("workload", "phase_seconds_output", "s");
+  m_job_s_ = registry.histogram("workload", "job_seconds", "s");
+  m_retry_backoff_s_ = registry.histogram("workload", "retry_backoff_seconds", "s");
   m_stragglers_ = registry.counter("workload", "stragglers_observed", "episodes");
   m_spec_launched_ = registry.counter("workload", "spec_launched", "vertices");
   m_spec_wins_ = registry.counter("workload", "spec_wins", "vertices");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/require.h"
 #include "common/rng.h"
@@ -305,6 +306,20 @@ TEST(FlowSim, RejectsMisuse) {
   FlowSimConfig cfg;
   cfg.end_time = 0;
   EXPECT_THROW(FlowSim(topo, cfg), Error);
+  cfg.end_time = 1e300;  // finite, but its bin count overflows size_t
+  EXPECT_THROW(FlowSim(topo, cfg), Error);
+}
+
+TEST(FlowSim, RejectsNonFiniteHorizon) {
+  // Validate and construct only: a run() over an infinite horizon that got
+  // past validation would never return.
+  Topology topo(test_topology());
+  for (const double horizon : {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    const FlowSimConfig cfg = exact_config(horizon);
+    EXPECT_THROW(cfg.validate(), Error) << horizon;
+    EXPECT_THROW(FlowSim(topo, cfg), Error) << horizon;
+  }
 }
 
 // Property sweep: exact and batched mode agree on totals within tolerance.

@@ -39,25 +39,6 @@ TEST(LinearHistogram, RejectsBadConstruction) {
   EXPECT_THROW(LinearHistogram(0.0, 1.0, 0), Error);
 }
 
-TEST(LogHistogram, GeometricEdges) {
-  LogHistogram h(1.0, 10.0, 4);  // [1,10),[10,100),[100,1000),[1000,...)
-  EXPECT_DOUBLE_EQ(h.bin_left(0), 1.0);
-  EXPECT_NEAR(h.bin_left(2), 100.0, 1e-9);
-  h.add(5.0);
-  h.add(50.0);
-  h.add(0.001);   // below lo clamps into bin 0
-  h.add(1e12);    // clamps into last bin
-  EXPECT_DOUBLE_EQ(h.count(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(3), 1.0);
-}
-
-TEST(LogHistogram, RejectsBadConstruction) {
-  EXPECT_THROW(LogHistogram(0.0, 10.0, 4), Error);
-  EXPECT_THROW(LogHistogram(1.0, 1.0, 4), Error);
-  EXPECT_THROW(LogHistogram(1.0, 10.0, 0), Error);
-}
-
 TEST(Cdf, EvaluationAndQuantiles) {
   Cdf c;
   c.add(1.0);
@@ -177,50 +158,6 @@ TEST(KsDistance, RejectsEmpty) {
   a.finalize();
   b.finalize();
   EXPECT_THROW(ks_distance(a, b), Error);
-}
-
-TEST(LinearHistogram, MergeFromAddsBinwise) {
-  LinearHistogram a(0.0, 10.0, 5);
-  LinearHistogram b(0.0, 10.0, 5);
-  a.add(1.0);        // bin 0
-  a.add(9.5, 2.0);   // bin 4
-  b.add(1.5, 3.0);   // bin 0
-  b.add(5.0);        // bin 2
-  a.merge_from(b);
-  EXPECT_DOUBLE_EQ(a.count(0), 4.0);
-  EXPECT_DOUBLE_EQ(a.count(2), 1.0);
-  EXPECT_DOUBLE_EQ(a.count(4), 2.0);
-  EXPECT_DOUBLE_EQ(a.total(), 7.0);
-  // Merging an empty histogram is the identity.
-  a.merge_from(LinearHistogram(0.0, 10.0, 5));
-  EXPECT_DOUBLE_EQ(a.total(), 7.0);
-}
-
-TEST(LinearHistogram, MergeFromRejectsMismatchedEdges) {
-  LinearHistogram a(0.0, 10.0, 5);
-  EXPECT_THROW(a.merge_from(LinearHistogram(0.0, 10.0, 4)), Error);  // bins
-  EXPECT_THROW(a.merge_from(LinearHistogram(1.0, 11.0, 5)), Error);  // lo
-  EXPECT_THROW(a.merge_from(LinearHistogram(0.0, 20.0, 5)), Error);  // width
-}
-
-TEST(LogHistogram, MergeFromAddsBinwise) {
-  LogHistogram a(1.0, 10.0, 4);
-  LogHistogram b(1.0, 10.0, 4);
-  a.add(5.0);      // bin 0
-  b.add(50.0);     // bin 1
-  b.add(5000.0);   // bin 3
-  a.merge_from(b);
-  EXPECT_DOUBLE_EQ(a.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(a.count(1), 1.0);
-  EXPECT_DOUBLE_EQ(a.count(3), 1.0);
-  EXPECT_DOUBLE_EQ(a.total(), 3.0);
-}
-
-TEST(LogHistogram, MergeFromRejectsMismatchedEdges) {
-  LogHistogram a(1.0, 10.0, 4);
-  EXPECT_THROW(a.merge_from(LogHistogram(1.0, 10.0, 5)), Error);  // bins
-  EXPECT_THROW(a.merge_from(LogHistogram(2.0, 10.0, 4)), Error);  // lo
-  EXPECT_THROW(a.merge_from(LogHistogram(1.0, 2.0, 4)), Error);   // ratio
 }
 
 }  // namespace

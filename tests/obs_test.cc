@@ -1,5 +1,5 @@
 // Tests for the self-instrumentation subsystem (src/obs): registry
-// semantics, histogram bucket edges, sampler grid behaviour, manifest
+// semantics, the histogram summary, sampler grid behaviour, manifest
 // golden output, and — the property everything else leans on — that two
 // identical seeded runs produce identical counter/gauge values while the
 // instrumentation itself never perturbs the simulation.
@@ -51,7 +51,7 @@ TEST(Registry, ScalarSnapshotSkipsHistograms) {
   Registry reg;
   reg.counter("s", "c", "u")->inc(7);
   reg.gauge("s", "g", "u")->set(2.5);
-  reg.histogram("s", "h", "ns", 1.0, 2.0, 8)->observe(5.0);
+  reg.histogram("s", "h", "ns")->observe(5.0);
   const auto snap = reg.scalar_snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].first, "s.c");
@@ -60,22 +60,18 @@ TEST(Registry, ScalarSnapshotSkipsHistograms) {
   EXPECT_EQ(snap[1].second, 2.5);
 }
 
-TEST(Histogram, GeometricBucketEdgesAndClamping) {
-  Histogram h(100.0, 2.0, 4);  // [100,200) [200,400) [400,800) [800,inf-clamp)
-  ASSERT_EQ(h.bucket_count(), 4u);
-  EXPECT_DOUBLE_EQ(h.bucket_left(0), 100.0);
-  EXPECT_DOUBLE_EQ(h.bucket_left(1), 200.0);
-  EXPECT_DOUBLE_EQ(h.bucket_left(2), 400.0);
-  EXPECT_DOUBLE_EQ(h.bucket_left(3), 800.0);
-  h.observe(150.0);   // bucket 0
-  h.observe(200.0);   // left edge inclusive: bucket 1
-  h.observe(1.0);     // below range: clamped into bucket 0
-  h.observe(1e9);     // above range: clamped into the last bucket
-  EXPECT_EQ(h.bucket_value(0), 2.0);
-  EXPECT_EQ(h.bucket_value(1), 1.0);
-  EXPECT_EQ(h.bucket_value(3), 1.0);
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
+TEST(Histogram, KeepsCountSumMeanMaxAndIsZeroWhenEmpty) {
+  Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0.0);
+  EXPECT_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.max(), 0.0);
+  h.observe(150.0);
+  h.observe(1e9);
+  h.observe(1.0);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_DOUBLE_EQ(h.sum(), 1e9 + 151.0);
+  EXPECT_DOUBLE_EQ(h.mean(), (1e9 + 151.0) / 3.0);
   EXPECT_DOUBLE_EQ(h.max(), 1e9);
 }
 
@@ -96,7 +92,7 @@ TEST(Macros, TolerateUnboundPointers) {
 TEST(Macros, BoundPointersRecordWhenEnabled) {
   Registry reg;
   Counter* c = reg.counter("t", "c", "u");
-  Histogram* h = reg.histogram("t", "h", "ns", 1.0, 2.0, 8);
+  Histogram* h = reg.histogram("t", "h", "ns");
   DCT_OBS_INC(c);
   DCT_OBS_ADD(c, 2);
   { DCT_OBS_SCOPED_TIMER(timer, h); }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/require.h"
 #include "core/experiment.h"
@@ -157,6 +158,43 @@ TEST(ReproJson, RoundTripsEveryKnobExactly) {
 TEST(ReproJson, RejectsUnknownSchema) {
   EXPECT_THROW(testing::scenario_from_repro("{\"schema\": \"bogus\"}"), Error);
   EXPECT_THROW(testing::scenario_from_repro(""), Error);
+}
+
+TEST(ReproJson, RejectsNonFiniteAndOutOfRangeKnobs) {
+  const std::string json =
+      testing::repro_json(testing::generate_scenario(3, 30.0), "some.invariant");
+  const auto with_value = [&](const std::string& key, const std::string& value) {
+    const std::string needle = "\"" + key + "\": ";
+    const auto at = json.find(needle);
+    EXPECT_NE(at, std::string::npos) << key;
+    const auto begin = at + needle.size();
+    const auto end = json.find_first_of(",\n", begin);
+    return json.substr(0, begin) + value + json.substr(end);
+  };
+  const auto error_for = [&](const std::string& key, const std::string& value) {
+    try {
+      (void)testing::scenario_from_repro(with_value(key, value));
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::pair<const char*, const char*> bad[] = {
+      {"sim.end_time", "inf"},
+      {"workload.jobs_per_second", "nan"},
+      {"topology.racks", "1e12"},
+      {"topology.servers_per_rack", "-3e9"},
+      {"telemetry.snmp_counter_width", "inf"},
+      {"workload.hedged_reads", "2"},
+      {"topology.redundant_tor_uplinks", "0.5"},
+  };
+  for (const auto& [key, value] : bad) {
+    EXPECT_NE(error_for(key, value).find(key), std::string::npos)
+        << key << " = " << value << " must be rejected naming the key";
+  }
+  // In-range values still parse.
+  EXPECT_EQ(error_for("topology.racks", "3"), "");
+  EXPECT_EQ(error_for("workload.hedged_reads", "1"), "");
 }
 
 TEST(ReproJson, ReplayedScenarioRunsIdentically) {
