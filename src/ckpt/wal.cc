@@ -42,62 +42,56 @@ void sleep_ns(std::int64_t ns) {
   nanosleep(&ts, nullptr);
 }
 
-// Allocation-free encoding primitives for the per-record hot path (the
-// ByteWriter equivalents allocate a fresh buffer per use).
-void vec_uvarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+// Allocation-free encoding primitives for the per-record hot path: each
+// writes at `p` and returns the end of what it wrote.
+std::uint8_t* put_uvarint(std::uint8_t* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
 }
 
-void vec_svarint(std::vector<std::uint8_t>& out, std::int64_t v) {
+std::uint8_t* put_svarint(std::uint8_t* p, std::int64_t v) {
   // Zig-zag, matching ByteWriter::svarint.
-  vec_uvarint(out, (static_cast<std::uint64_t>(v) << 1) ^
-                       static_cast<std::uint64_t>(v >> 63));
+  return put_uvarint(p, (static_cast<std::uint64_t>(v) << 1) ^
+                            static_cast<std::uint64_t>(v >> 63));
 }
 
-void vec_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+std::uint8_t* put_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  return p;
 }
 
-void encode_wal_record_into(std::vector<std::uint8_t>& out, const FlowRecord& rec) {
-  vec_svarint(out, rec.id.value());
-  vec_svarint(out, rec.src.value());
-  vec_svarint(out, rec.dst.value());
-  vec_svarint(out, rec.bytes_requested);
-  vec_svarint(out, rec.bytes_sent);
-  vec_u64(out, std::bit_cast<std::uint64_t>(rec.start));
-  vec_u64(out, std::bit_cast<std::uint64_t>(rec.end));
-  out.push_back(static_cast<std::uint8_t>((rec.failed ? 1 : 0) |
-                                          (rec.truncated ? 2 : 0) |
-                                          (static_cast<std::uint8_t>(rec.kind) << 2)));
-  vec_svarint(out, rec.job.value());
-  vec_svarint(out, rec.phase.value());
+// Largest record payload: seven varints of up to 10 bytes, two doubles and
+// the flags byte.  Any payload is shorter than 0x80 bytes, so a frame's
+// length uvarint is always one byte.
+constexpr std::size_t kMaxPayload = 7 * 10 + 2 * 8 + 1;
+static_assert(kMaxPayload < 0x80);
+// [tag][length][payload][hash]
+constexpr std::size_t kMaxFrame = 2 + kMaxPayload + 8;
+
+std::uint8_t* encode_wal_record_at(std::uint8_t* p, const FlowRecord& rec) {
+  p = put_svarint(p, rec.id.value());
+  p = put_svarint(p, rec.src.value());
+  p = put_svarint(p, rec.dst.value());
+  p = put_svarint(p, rec.bytes_requested);
+  p = put_svarint(p, rec.bytes_sent);
+  p = put_u64(p, std::bit_cast<std::uint64_t>(rec.start));
+  p = put_u64(p, std::bit_cast<std::uint64_t>(rec.end));
+  *p++ = static_cast<std::uint8_t>((rec.failed ? 1 : 0) | (rec.truncated ? 2 : 0) |
+                                   (static_cast<std::uint8_t>(rec.kind) << 2));
+  p = put_svarint(p, rec.job.value());
+  return put_svarint(p, rec.phase.value());
 }
 
 std::vector<std::uint8_t> wal_header(std::uint64_t fingerprint) {
-  std::vector<std::uint8_t> out;
-  for (std::uint8_t m : kWalMagic) out.push_back(m);
+  std::vector<std::uint8_t> out(std::begin(kWalMagic), std::end(kWalMagic));
   out.push_back(kWalVersion);
-  vec_u64(out, fingerprint);
+  out.resize(out.size() + 8);
+  put_u64(out.data() + out.size() - 8, fingerprint);
   return out;
-}
-
-// One pass over the payload updating the per-frame hash and the record
-// chain together (both FNV-1a, different seeds) — the append path's only
-// traversal of the encoded bytes besides the buffer memcpy.
-void fnv1a_pair(const std::vector<std::uint8_t>& bytes, std::uint64_t& frame_hash,
-                std::uint64_t& chain) {
-  std::uint64_t h = frame_hash;
-  std::uint64_t c = chain;
-  for (std::uint8_t b : bytes) {
-    h = (h ^ b) * kFnvPrime;
-    c = (c ^ b) * kFnvPrime;
-  }
-  frame_hash = h;
-  chain = c;
 }
 
 // POSIX write loop used for both buffer drains and the slow-mode torn
@@ -114,9 +108,8 @@ void raw_write(int fd, const std::uint8_t* data, std::size_t size) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_wal_record(const FlowRecord& rec) {
-  std::vector<std::uint8_t> out;
-  encode_wal_record_into(out, rec);
-  return out;
+  std::uint8_t payload[kMaxPayload];
+  return {payload, encode_wal_record_at(payload, rec)};
 }
 
 TraceWal::TraceWal(std::string path, std::uint64_t fingerprint, std::int64_t slow_ns)
@@ -211,71 +204,55 @@ void TraceWal::drain_buffer() {
   buffer_.clear();
 }
 
-void TraceWal::write_frame(std::uint8_t tag, const std::vector<std::uint8_t>& payload) {
-  require(fd_ >= 0, "TraceWal: closed");
-  require(!finalized_ || tag != kTagRecord,
-          "TraceWal: append after finalize marker");
-  std::vector<std::uint8_t> frame;
-  frame.push_back(tag);
-  vec_uvarint(frame, payload.size());
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  vec_u64(frame, fnv1a(kFnvOffset, payload));
-  const bool slow = slow_ns_ > 0 && (tag == kTagFinal ||
-                                     appended_since_flush_ % kSlowEveryNth == 0);
-  if (slow) {
-    // Test mode: unbuffered half-writes with a sleep between, so a SIGKILL
-    // in the window leaves a genuinely torn frame on disk.
-    drain_buffer();
-    const std::size_t half = frame.size() / 2;
-    raw_write(fd_, frame.data(), half);
-    sleep_ns(slow_ns_);
-    raw_write(fd_, frame.data() + half, frame.size() - half);
-  } else {
-    buffer_.insert(buffer_.end(), frame.begin(), frame.end());
-    if (buffer_.size() >= kBufferCap) drain_buffer();
-  }
-  valid_bytes_ += frame.size();
-  ++appended_since_flush_;
-}
-
-void TraceWal::append(const FlowRecord& rec) {
-  // Hot path: one frame per finalized flow.  The frame is encoded straight
-  // into the owned buffer through a reused scratch vector, and the frame
-  // checksum and record chain advance in a single pass over the payload.
+void TraceWal::write_frame(std::uint8_t tag, std::uint8_t* frame, std::size_t len,
+                           std::uint64_t hash) {
   require(fd_ >= 0, "TraceWal: closed");
   require(!finalized_, "TraceWal: append after finalize marker");
-  payload_scratch_.clear();
-  encode_wal_record_into(payload_scratch_, rec);
-  std::uint64_t hash = kFnvOffset;
-  fnv1a_pair(payload_scratch_, hash, chain_);
-  const bool slow = slow_ns_ > 0 && appended_since_flush_ % kSlowEveryNth == 0;
-  const std::size_t frame_start = buffer_.size();
-  buffer_.push_back(kTagRecord);
-  vec_uvarint(buffer_, payload_scratch_.size());
-  buffer_.insert(buffer_.end(), payload_scratch_.begin(), payload_scratch_.end());
-  vec_u64(buffer_, hash);
-  const std::size_t frame_size = buffer_.size() - frame_start;
+  frame[0] = tag;
+  frame[1] = static_cast<std::uint8_t>(len);  // len <= kMaxPayload < 0x80
+  const auto size = static_cast<std::size_t>(put_u64(frame + 2 + len, hash) - frame);
+  const bool slow = slow_ns_ > 0 && (tag == kTagFinal ||
+                                     appended_since_flush_ % kSlowEveryNth == 0);
+  const std::size_t start = buffer_.size();
+  buffer_.insert(buffer_.end(), frame, frame + size);
   if (slow) {
     // Test mode: unbuffered half-writes with a sleep between, so a SIGKILL
     // in the window leaves a genuinely torn frame on disk.
-    raw_write(fd_, buffer_.data(), frame_start + (frame_size / 2));
+    raw_write(fd_, buffer_.data(), start + (size / 2));
     sleep_ns(slow_ns_);
-    raw_write(fd_, buffer_.data() + frame_start + (frame_size / 2),
-              frame_size - (frame_size / 2));
+    raw_write(fd_, buffer_.data() + start + (size / 2), size - (size / 2));
     buffer_.clear();
   } else if (buffer_.size() >= kBufferCap) {
     drain_buffer();
   }
-  valid_bytes_ += frame_size;
+  valid_bytes_ += size;
   ++appended_since_flush_;
+}
+
+void TraceWal::append(const FlowRecord& rec) {
+  // Hot path: one frame per finalized flow, encoded on the stack and copied
+  // into the owned buffer once.  The frame checksum and the record chain
+  // (both FNV-1a, different seeds) advance in a single pass over the payload.
+  std::uint8_t frame[kMaxFrame];
+  std::uint8_t* const payload = frame + 2;
+  const auto len = static_cast<std::size_t>(encode_wal_record_at(payload, rec) - payload);
+  std::uint64_t hash = kFnvOffset;
+  std::uint64_t chain = chain_;
+  for (std::size_t i = 0; i < len; ++i) {
+    hash = (hash ^ payload[i]) * kFnvPrime;
+    chain = (chain ^ payload[i]) * kFnvPrime;
+  }
+  write_frame(kTagRecord, frame, len, hash);
+  chain_ = chain;
 }
 
 void TraceWal::finalize(std::uint64_t record_count, std::uint64_t chain_hash) {
   if (finalized_) return;
-  std::vector<std::uint8_t> payload;
-  vec_uvarint(payload, record_count);
-  vec_u64(payload, chain_hash);
-  write_frame(kTagFinal, payload);
+  std::uint8_t frame[kMaxFrame];
+  std::uint8_t* const payload = frame + 2;
+  const auto len =
+      static_cast<std::size_t>(put_u64(put_uvarint(payload, record_count), chain_hash) - payload);
+  write_frame(kTagFinal, frame, len, fnv1a(kFnvOffset, {payload, len}));
   finalized_ = true;
 }
 

@@ -81,7 +81,10 @@ class TraceWal {
   [[nodiscard]] bool resumed_existing() const noexcept { return resumed_existing_; }
 
  private:
-  void write_frame(std::uint8_t tag, const std::vector<std::uint8_t>& payload);
+  /// Completes the frame whose `len`-byte payload sits at `frame + 2` (tag,
+  /// length, trailing hash) and appends it.
+  void write_frame(std::uint8_t tag, std::uint8_t* frame, std::size_t len,
+                   std::uint64_t hash);
   void scan_existing(const std::vector<std::uint8_t>& bytes);
 
   void drain_buffer();
@@ -95,8 +98,6 @@ class TraceWal {
   /// simulator's hot path, so the per-record cost must be a memcpy, not a
   /// locked stdio call.
   std::vector<std::uint8_t> buffer_;
-  /// Reused frame-encode scratch, so the encode never allocates per record.
-  std::vector<std::uint8_t> payload_scratch_;
   std::vector<std::uint64_t> durable_hashes_;
   std::uint64_t chain_ = kFnvOffset;
   std::uint64_t valid_bytes_ = 0;

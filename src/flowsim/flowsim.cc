@@ -63,11 +63,17 @@ void FlowSim::push_event(Event e) {
 void FlowSim::at(TimeSec t, UserCallback fn) {
   require(t >= now_, "FlowSim::at: cannot schedule in the past");
   require(fn != nullptr, "FlowSim::at: null callback");
-  user_callbacks_.push_back(std::move(fn));
   Event e{};
   e.time = t;
   e.kind = EventKind::kUser;
-  e.user_index = static_cast<std::uint32_t>(user_callbacks_.size() - 1);
+  if (free_user_slots_.empty()) {
+    e.user_index = static_cast<std::uint32_t>(user_callbacks_.size());
+    user_callbacks_.push_back(std::move(fn));
+  } else {
+    e.user_index = free_user_slots_.back();
+    free_user_slots_.pop_back();
+    user_callbacks_[e.user_index] = std::move(fn);
+  }
   push_event(e);
 }
 
@@ -229,6 +235,9 @@ void FlowSim::recompute_rates() {
   DCT_OBS_SCOPED_TIMER(obs_timer, m_recompute_ns_);
   last_recompute_ = now_;
   dirty_ = false;
+  // Every active flow's generation moves below, so every queued completion
+  // is stale from here on.
+  completions_.clear();
   const std::size_t n = active_.size();
   if (n == 0) return;
 
@@ -336,19 +345,14 @@ void FlowSim::recompute_rates() {
     }
   }
 
-  // Phase 4: bump generations, schedule completion & stall events.
+  // Phase 4: bump generations, queue completions, arm stall events.
   for (std::size_t i = 0; i < n; ++i) {
     auto& f = active_[i];
     ++f.generation;
     if (f.rate > 0) {
       const TimeSec done = now_ + f.remaining / f.rate;
       if (done <= config_.end_time) {
-        Event e{};
-        e.time = done;
-        e.kind = EventKind::kCompletion;
-        e.flow_id = f.id.value();
-        e.generation = f.generation;
-        push_event(e);
+        completions_.push_back({{done, seq_++}, f.id.value(), f.generation});
       }
     }
     if (f.rate < config_.fail_rate_floor) {
@@ -364,6 +368,7 @@ void FlowSim::recompute_rates() {
       f.stall_since = -1;
     }
   }
+  std::make_heap(completions_.begin(), completions_.end(), std::greater<>{});
 }
 
 void FlowSim::finalize_flow(std::size_t slot, bool failed, bool truncated) {
@@ -421,34 +426,42 @@ void FlowSim::run() {
   if (ran_) return;
   running_ = true;
 
-  while (!events_.empty()) {
-    Event e = events_.top();
-    if (e.time > config_.end_time) break;
-    events_.pop();
-    ensure(e.time >= now_ - 1e-9, "event queue went backwards");
-    now_ = std::max(now_, e.time);
+  while (!events_.empty() || !completions_.empty()) {
+    const bool completion_next =
+        !completions_.empty() &&
+        (events_.empty() || events_.top() > completions_.front());
+    const TimeSec t = completion_next ? completions_.front().time : events_.top().time;
+    if (t > config_.end_time) break;
+    ensure(t >= now_ - 1e-9, "event queue went backwards");
+    now_ = std::max(now_, t);
     DCT_OBS_INC(m_events_);
 
+    if (completion_next) {
+      std::pop_heap(completions_.begin(), completions_.end(), std::greater<>{});
+      const Completion c = completions_.back();
+      completions_.pop_back();
+      const std::ptrdiff_t slot = slot_of(c.flow_id);
+      if (slot < 0) continue;  // already gone
+      ActiveFlow& f = active_[static_cast<std::size_t>(slot)];
+      if (f.generation != c.generation) continue;  // rerouted since the recompute
+      deposit(f, now_);
+      f.remaining = 0;  // absorb float residue: this event is the finish
+      finalize_flow(static_cast<std::size_t>(slot), /*failed=*/false,
+                    /*truncated=*/false);
+      continue;
+    }
+    const Event e = events_.top();
+    events_.pop();
     switch (e.kind) {
       case EventKind::kUser: {
         UserCallback cb = std::move(user_callbacks_[e.user_index]);
+        free_user_slots_.push_back(e.user_index);
         if (cb) cb(*this);
         break;
       }
       case EventKind::kRecompute: {
         recompute_scheduled_ = false;
         if (dirty_) recompute_rates();
-        break;
-      }
-      case EventKind::kCompletion: {
-        const std::ptrdiff_t slot = slot_of(e.flow_id);
-        if (slot < 0) break;  // already gone
-        ActiveFlow& f = active_[static_cast<std::size_t>(slot)];
-        if (f.generation != e.generation) break;  // stale rate epoch
-        deposit(f, now_);
-        f.remaining = 0;  // absorb float residue: this event is the finish
-        finalize_flow(static_cast<std::size_t>(slot), /*failed=*/false,
-                      /*truncated=*/false);
         break;
       }
       case EventKind::kStall: {
@@ -498,8 +511,8 @@ FlowSim::NetworkChangeStats FlowSim::handle_network_change() {
       for (LinkId l : f.path) --link_active_[static_cast<std::size_t>(l.value())];
       f.path = fresh;
       for (LinkId l : f.path) ++link_active_[static_cast<std::size_t>(l.value())];
-      // Invalidate completion events queued at the old rate; the next
-      // recompute reassigns a rate on the new path and re-arms them.
+      // Invalidate the completion queued at the old rate; the next
+      // recompute reassigns a rate on the new path and re-queues it.
       ++f.generation;
       ++fault_rerouted_;
       ++stats.flows_rerouted;

@@ -10,7 +10,13 @@
 // Engine design
 //   * A time-ordered event queue carries user callbacks (the workload layer
 //     schedules job arrivals and reacts to flow completions) plus internal
-//     completion / stall events.
+//     recompute / stall events.  Flow completions live in a second min-heap
+//     that every recompute clears and rebuilds from the active set (one
+//     entry per flow that finishes within the horizon at its new rate), so
+//     superseded deadlines are dropped rather than popped.  Both queues draw
+//     their tie-break sequence numbers from one counter and the loop always
+//     dispatches the smaller head by (time, seq): events fire in one total
+//     order, as if the two were a single queue.
 //   * Rate recomputation (progressive filling) is *batched*: the active set
 //     may change many times within `recompute_interval`; rates are refreshed
 //     at most once per interval.  Exact mode (interval 0) recomputes after
@@ -239,24 +245,34 @@ class FlowSim {
     TimeSec start = 0;
     TimeSec last_deposit = 0;        // utilization accounted up to here
     TimeSec stall_since = -1;        // -1: not stalled
-    std::uint32_t generation = 0;    // invalidates queued completion events
+    std::uint32_t generation = 0;    // invalidates queued completions
     CompletionCallback on_complete;
   };
 
-  enum class EventKind : std::uint8_t { kUser, kCompletion, kStall, kRecompute };
+  enum class EventKind : std::uint8_t { kUser, kStall, kRecompute };
 
-  struct Event {
+  // The (time, seq) order of both queues.  Every entry of either draws seq
+  // from seq_, so the order is total across them.
+  struct Due {
     TimeSec time;
     std::uint64_t seq;  // FIFO tie-break for determinism
-    EventKind kind;
-    std::int32_t flow_id = -1;        // kCompletion / kStall
-    std::uint32_t generation = 0;     // kCompletion staleness check
-    std::uint32_t user_index = 0;     // kUser -> user_callbacks_
 
-    friend bool operator>(const Event& a, const Event& b) {
+    friend bool operator>(const Due& a, const Due& b) {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
+  };
+
+  struct Event : Due {
+    EventKind kind;
+    std::int32_t flow_id = -1;        // kStall
+    std::uint32_t user_index = 0;     // kUser -> user_callbacks_
+  };
+
+  // A flow's finish time at the rate of the recompute that queued it.
+  struct Completion : Due {
+    std::int32_t flow_id;
+    std::uint32_t generation;  // the flow's at queue time; a reroute bumps it
   };
 
   void push_event(Event e);
@@ -278,7 +294,9 @@ class FlowSim {
   TimeSec last_recompute_ = -std::numeric_limits<TimeSec>::infinity();
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
-  std::vector<UserCallback> user_callbacks_;
+  std::vector<Completion> completions_;  // min-heap; rebuilt by every recompute
+  std::vector<UserCallback> user_callbacks_;    // by Event::user_index
+  std::vector<std::uint32_t> free_user_slots_;  // dispatched slots, reused by at()
   std::vector<ActiveFlow> active_;  // dense, swap-remove
   std::vector<FlowRecord> records_;
   RecordSink record_sink_;

@@ -338,6 +338,35 @@ TEST(FlowSimFaults, MidFlightRerouteletsTheFlowFinish) {
   EXPECT_EQ(sim.fault_killed_flow_count(), 0u);
 }
 
+TEST(FlowSimFaults, RerouteBetweenBatchedRecomputesDropsTheQueuedCompletion) {
+  Topology topo(small_topology(true));
+  NetworkState net(topo);
+  FlowSimConfig cfg = exact_config(60.0);
+  cfg.recompute_interval = 1.0;  // the recompute after t = 0 is at t = 1
+  FlowSim sim(topo, cfg);
+  sim.set_network_state(&net);
+
+  FlowSpec spec;
+  spec.src = server_in_rack(topo, 0, 0);
+  spec.dst = server_in_rack(topo, 3, 0);
+  spec.bytes = 62'500'000;  // due at t = 0.5 at the 125 MB/s NIC bottleneck
+  sim.start_flow(spec);
+
+  sim.at(0.25, [&](FlowSim& s) {
+    net.set_link_up(topo.tor_up_link(RackId{0}), false);
+    EXPECT_EQ(s.handle_network_change().flows_rerouted, 1);
+  });
+  sim.run();
+
+  // The reroute made the t = 0.5 completion stale.  The flow drains at its
+  // old rate until the t = 1 recompute, which queues its finish at t = 1.
+  ASSERT_EQ(sim.records().size(), 1u);
+  const auto& rec = sim.records().front();
+  EXPECT_FALSE(rec.failed);
+  EXPECT_EQ(rec.bytes_sent, spec.bytes);
+  EXPECT_EQ(rec.end, 1.0);
+}
+
 TEST(FlowSimFaults, NoAlternatePathKillsTheFlow) {
   Topology topo(small_topology(false));
   NetworkState net(topo);

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/require.h"
 #include "common/rng.h"
@@ -224,6 +226,40 @@ TEST(FlowSim, UserEventsRunInOrder) {
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 11);
   EXPECT_EQ(order[2], 2);
+}
+
+// Completions sit in their own heap, but a completion and a user event due
+// at the same instant still fire in the order they were queued.  125 MB at
+// the 125 MB/s NIC finishes at exactly t = 1.
+TEST(FlowSim, TiedUserEventAndCompletionFireInQueueOrder) {
+  Topology topo(test_topology());
+  const FlowSpec spec = flow(ServerId{0}, ServerId{6}, 125'000'000);
+  std::vector<std::string> order;
+  auto on_done = [&](FlowSim&, const FlowRecord& rec) {
+    EXPECT_EQ(rec.end, 1.0);
+    order.emplace_back("completion");
+  };
+  auto user = [&](FlowSim& s) {
+    EXPECT_EQ(s.now(), 1.0);
+    order.emplace_back("user");
+  };
+
+  {  // Queued before run(): ahead of the t = 0 recompute that queues the completion.
+    FlowSim sim(topo, exact_config());
+    sim.start_flow(spec, on_done);
+    sim.at(1.0, user);
+    sim.run();
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"user", "completion"}));
+
+  order.clear();
+  {  // Queued by a callback after that recompute.
+    FlowSim sim(topo, exact_config());
+    sim.start_flow(spec, on_done);
+    sim.at(0.5, [&](FlowSim& s) { s.at(1.0, user); });
+    sim.run();
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"completion", "user"}));
 }
 
 TEST(FlowSim, StallDetectorKillsStarvedFlow) {

@@ -11,8 +11,10 @@
 #include "analysis/congestion.h"
 #include "analysis/flowstats.h"
 #include "analysis/traffic_matrix.h"
+#include "common/fnv.h"
 #include "common/stats.h"
 #include "core/experiment.h"
+#include "trace/codec.h"
 
 namespace dct {
 namespace {
@@ -105,6 +107,30 @@ TEST(Golden, WorkSeeksBandwidthHoldsRelativeToRandom) {
   // (servers_per_rack-1)/(internal-1) ~ 3.8%.  Locality placement must
   // beat that by an order of magnitude.
   EXPECT_GT(lb.frac_same_rack, 0.15);
+}
+
+// Byte pins: FNV-1a of the encoded trace of three seeded scenarios, one
+// fault-free, one with device failures (reroutes and kills) and one with
+// link-capacity overlays.  The shape checks above tolerate small drift;
+// these do not.  A change to event order or to the fluid arithmetic moves
+// them, so a speed-up that claims identical output must leave them alone.
+// Re-pin only on purpose, and say why in the commit.
+std::uint64_t trace_digest(const ScenarioConfig& cfg) {
+  ClusterExperiment exp(cfg);
+  exp.run();
+  return fnv1a(kFnvOffset, encode_trace(exp.trace()));
+}
+
+TEST(GoldenBytes, TinyTraceIsPinned) {
+  EXPECT_EQ(trace_digest(scenarios::tiny(60.0, 42)), 0x10863e4f3b5b8195ULL);
+}
+
+TEST(GoldenBytes, FaultStormTraceIsPinned) {
+  EXPECT_EQ(trace_digest(scenarios::fault_storm(120.0, 42)), 0x2f7887acf0c04667ULL);
+}
+
+TEST(GoldenBytes, GrayFailureTraceIsPinned) {
+  EXPECT_EQ(trace_digest(scenarios::gray_failure(60.0, 42)), 0x12bf2db9b6621e46ULL);
 }
 
 }  // namespace

@@ -235,6 +235,26 @@ TEST(Experiment, ManifestDescribesTheRun) {
   }
 }
 
+TEST(Experiment, EventLoopStaysUnderFiveEventsPerFlow) {
+  auto exp = ClusterExperiment(scenarios::tiny(60.0));
+  exp.run();
+  const RunManifest m = exp.manifest("obs_test");
+  double events = -1;
+  double flows = -1;
+  for (const auto& s : m.metrics) {
+    if (s.full_name == "flowsim.events_processed") events = s.value;
+    if (s.full_name == "flowsim.flows_started") flows = s.value;
+  }
+  if (kEnabled) {
+    ASSERT_GT(flows, 0);
+    // Each recompute replaces the completions queued by the one before, so
+    // superseded completions are never popped.
+    EXPECT_LT(events / flows, 5.0);
+  } else {
+    EXPECT_EQ(events, -1);
+  }
+}
+
 TEST(Experiment, ManifestBeforeRunThrows) {
   auto exp = ClusterExperiment(scenarios::tiny(30.0, 11));
   EXPECT_THROW(exp.manifest("obs_test"), Error);
