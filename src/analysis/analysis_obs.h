@@ -4,9 +4,8 @@
 // are free functions, so — like the trace codec (trace/codec.h) — their
 // instrumentation is bound at module level: one registry at a time, the
 // last bound wins, nullptr unbinds.  The metrics are per-stage wall-clock
-// totals (docs/METRICS.md, subsystem "analysis") that, next to the
-// parallel.* counters, show where a run's analysis time went and how much
-// of it the shard-parallel paths covered.
+// totals (docs/METRICS.md, subsystem "analysis") that show where a run's
+// analysis time went.
 #pragma once
 
 #include "obs/obs.h"

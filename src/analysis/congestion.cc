@@ -8,20 +8,16 @@
 #include "common/require.h"
 #include "common/stats.h"
 #include "obs/metrics.h"
-#include "parallel/thread_pool.h"
 
 namespace dct {
 
 namespace {
 
-// Shard grains (docs/PERFORMANCE.md).  Fixed constants — never derived from
-// the thread count — so the reduction order, and hence every bit of the
-// output, depends only on the input.  The deposit grain is large because
-// each shard carries a full per-link bin array; memory grows with
-// shards x links x bins.
-constexpr std::size_t kUtilDepositGrain = std::size_t{1} << 17;  // flows
-constexpr std::size_t kUtilConvertGrain = 256;                   // links
-constexpr std::size_t kCongestionLinkGrain = 64;                 // links
+// Flows per utilization-deposit chunk (docs/PERFORMANCE.md).  Each chunk
+// deposits into fresh per-link series that are added into the result in
+// chunk order, so this size sets the floating-point summation order, and
+// the pinned analysis digests (tests/golden_test.cc) depend on it.
+constexpr std::size_t kUtilFlowChunk = std::size_t{1} << 17;
 
 }  // namespace
 
@@ -43,8 +39,11 @@ LinkUtilizationMap utilization_from_sim(const FlowSim& sim) {
 }
 
 LinkUtilizationMap utilization_from_trace(const ClusterTrace& trace, const Topology& topo,
-                                          TimeSec bin_width, ThreadPool* pool) {
+                                          TimeSec bin_width) {
   require(bin_width > 0, "utilization_from_trace: bin width must be > 0");
+  // The bin count is cast to size_t; an out-of-range cast is undefined.
+  require(trace.duration() / bin_width < 0x1p63,
+          "utilization_from_trace: duration / bin_width overflows the bin count");
 #if DCT_OBS_ENABLED
   obs::WallNsCounter obs_timer(detail::g_analysis_metrics.util_build_wall_ns);
 #endif
@@ -59,9 +58,7 @@ LinkUtilizationMap utilization_from_trace(const ClusterTrace& trace, const Topol
   }
 
   // Deposit phase: spread each flow's bytes over its lifetime on every link
-  // of its path.  Each shard deposits into a private per-link series; shard
-  // partials merge in shard order with one add per bin, so serial and
-  // pooled runs sum in the same order.
+  // of its path, one chunk of flows at a time.
   const auto& flows = trace.flows();
   const auto deposit = [&](std::size_t begin, std::size_t end,
                            std::vector<BinnedSeries>& per_link) {
@@ -76,35 +73,27 @@ LinkUtilizationMap utilization_from_trace(const ClusterTrace& trace, const Topol
       }
     }
   };
-  const auto shards = shard_ranges(flows.size(), kUtilDepositGrain);
-  if (shards.size() <= 1) {
+  if (flows.size() <= kUtilFlowChunk) {
     deposit(0, flows.size(), out.per_link);
   } else {
-    std::vector<std::vector<BinnedSeries>> partials(shards.size());
-    parallel_for_shards(pool, shards.size(), [&](std::size_t s) {
-      partials[s].assign(n_links, BinnedSeries(0.0, bin_width, bins));
-      deposit(shards[s].begin, shards[s].end, partials[s]);
-    });
-    for (const auto& partial : partials) {
+    for (std::size_t begin = 0; begin < flows.size(); begin += kUtilFlowChunk) {
+      std::vector<BinnedSeries> partial(n_links, BinnedSeries(0.0, bin_width, bins));
+      deposit(begin, std::min(begin + kUtilFlowChunk, flows.size()), partial);
       for (std::size_t l = 0; l < n_links; ++l) out.per_link[l].add_series(partial[l]);
     }
   }
 
-  // Convert per-bin bytes to utilization.  Links are disjoint output slots,
-  // so this fans out without any reduction.
-  const auto link_shards = shard_ranges(n_links, kUtilConvertGrain);
-  parallel_for_shards(pool, link_shards.size(), [&](std::size_t s) {
-    for (std::size_t l = link_shards[s].begin; l < link_shards[s].end; ++l) {
-      auto& series = out.per_link[l];
-      const double denom =
-          topo.link(LinkId{static_cast<std::int32_t>(l)}).capacity * bin_width;
-      BinnedSeries util(series.start_time(), series.bin_width(), series.bin_count());
-      for (std::size_t i = 0; i < series.bin_count(); ++i) {
-        util.add_point(series.bin_time(i), series.value(i) / denom);
-      }
-      series = std::move(util);
+  // Convert per-bin bytes to utilization.
+  for (std::size_t l = 0; l < n_links; ++l) {
+    auto& series = out.per_link[l];
+    const double denom =
+        topo.link(LinkId{static_cast<std::int32_t>(l)}).capacity * bin_width;
+    BinnedSeries util(series.start_time(), series.bin_width(), series.bin_count());
+    for (std::size_t i = 0; i < series.bin_count(); ++i) {
+      util.add_point(series.bin_time(i), series.value(i) / denom);
     }
-  });
+    series = std::move(util);
+  }
   return out;
 }
 
@@ -121,7 +110,7 @@ double LinkCongestion::total_hot_seconds() const noexcept {
 }
 
 CongestionReport congestion_report(const LinkUtilizationMap& util, const Topology& topo,
-                                   double threshold, ThreadPool* pool) {
+                                   double threshold) {
   require(threshold > 0 && threshold <= 1.5, "congestion_report: odd threshold");
 #if DCT_OBS_ENABLED
   obs::WallNsCounter obs_timer(detail::g_analysis_metrics.congestion_wall_ns);
@@ -133,78 +122,40 @@ CongestionReport congestion_report(const LinkUtilizationMap& util, const Topolog
   require(!links.empty(), "congestion_report: topology has no inter-switch links");
 
   const BinnedSeries& sample = util.of(links.front());
-
-  // Episode extraction is independent per link, so link shards build
-  // partial reports merged in shard order.  Everything merged is either
-  // integer-valued (counts, per-bin hot-link tallies), a per-link episode
-  // list appended in link order, or a max — all exactly order-insensitive —
-  // so the merged report is bit-identical to a serial scan.
-  struct Partial {
-    std::vector<LinkCongestion> inter_switch;
-    std::size_t hot10 = 0;
-    std::size_t hot100 = 0;
-    std::size_t episodes_over_1s = 0;
-    std::size_t episodes_over_10s = 0;
-    double longest_episode = 0;
-    std::vector<double> episode_durations;
-    BinnedSeries hot_count{0.0, 1.0, 1};
-  };
-  const auto shards = shard_ranges(links.size(), kCongestionLinkGrain);
-  std::vector<Partial> partials(shards.size());
-  parallel_for_shards(pool, shards.size(), [&](std::size_t s) {
-    Partial& p = partials[s];
-    p.hot_count = BinnedSeries(sample.start_time(), sample.bin_width(),
-                               sample.bin_count());
-    for (std::size_t li = shards[s].begin; li < shards[s].end; ++li) {
-      const LinkId l = links[li];
-      LinkCongestion lc;
-      lc.link = l;
-      lc.kind = topo.link(l).kind;
-      const BinnedSeries& series = util.of(l);
-      lc.episodes = episodes_above(series, threshold);
-
-      bool has10 = false;
-      bool has100 = false;
-      for (const auto& e : lc.episodes) {
-        const double d = e.duration();
-        if (d >= 10.0) has10 = true;
-        if (d >= 100.0) has100 = true;
-        if (d > 1.0) {
-          ++p.episodes_over_1s;
-          p.episode_durations.push_back(d);
-        }
-        if (d > 10.0) ++p.episodes_over_10s;
-        p.longest_episode = std::max(p.longest_episode, d);
-        // "when": mark each hot bin of this episode.
-        const double w = p.hot_count.bin_width();
-        auto b0 = static_cast<std::size_t>(
-            std::max(0.0, (e.start - p.hot_count.start_time()) / w));
-        for (std::size_t b = b0; b < p.hot_count.bin_count(); ++b) {
-          const double t = p.hot_count.bin_time(b);
-          if (t >= e.end) break;
-          if (t >= e.start) p.hot_count.add_point(t, 1.0);
-        }
-      }
-      if (has10) ++p.hot10;
-      if (has100) ++p.hot100;
-      p.inter_switch.push_back(std::move(lc));
-    }
-  });
-
+  BinnedSeries hot_count(sample.start_time(), sample.bin_width(), sample.bin_count());
   std::size_t hot10 = 0;
   std::size_t hot100 = 0;
-  BinnedSeries hot_count(sample.start_time(), sample.bin_width(), sample.bin_count());
-  for (Partial& p : partials) {
-    for (LinkCongestion& lc : p.inter_switch) out.inter_switch.push_back(std::move(lc));
-    hot10 += p.hot10;
-    hot100 += p.hot100;
-    out.episodes_over_1s += p.episodes_over_1s;
-    out.episodes_over_10s += p.episodes_over_10s;
-    out.longest_episode = std::max(out.longest_episode, p.longest_episode);
-    out.episode_durations.insert(out.episode_durations.end(),
-                                 p.episode_durations.begin(),
-                                 p.episode_durations.end());
-    hot_count.add_series(p.hot_count);
+  for (const LinkId l : links) {
+    LinkCongestion lc;
+    lc.link = l;
+    lc.kind = topo.link(l).kind;
+    lc.episodes = episodes_above(util.of(l), threshold);
+
+    bool has10 = false;
+    bool has100 = false;
+    for (const auto& e : lc.episodes) {
+      const double d = e.duration();
+      if (d >= 10.0) has10 = true;
+      if (d >= 100.0) has100 = true;
+      if (d > 1.0) {
+        ++out.episodes_over_1s;
+        out.episode_durations.push_back(d);
+      }
+      if (d > 10.0) ++out.episodes_over_10s;
+      out.longest_episode = std::max(out.longest_episode, d);
+      // "when": mark each hot bin of this episode.
+      const double w = hot_count.bin_width();
+      auto b0 = static_cast<std::size_t>(
+          std::max(0.0, (e.start - hot_count.start_time()) / w));
+      for (std::size_t b = b0; b < hot_count.bin_count(); ++b) {
+        const double t = hot_count.bin_time(b);
+        if (t >= e.end) break;
+        if (t >= e.start) hot_count.add_point(t, 1.0);
+      }
+    }
+    if (has10) ++hot10;
+    if (has100) ++hot100;
+    out.inter_switch.push_back(std::move(lc));
   }
   out.frac_links_hot_10s = static_cast<double>(hot10) / static_cast<double>(links.size());
   out.frac_links_hot_100s =

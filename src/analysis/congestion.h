@@ -23,8 +23,6 @@
 
 namespace dct {
 
-class ThreadPool;  // parallel/thread_pool.h
-
 /// Utilization series for every link (0..1 per bin).  Produced either
 /// exactly by the simulator or approximately from a trace.
 struct LinkUtilizationMap {
@@ -41,14 +39,11 @@ struct LinkUtilizationMap {
 /// spreads its bytes uniformly over its lifetime.  This is what an analyst
 /// with only server logs (no switch counters) can reconstruct.
 ///
-/// With a pool, fixed-size flow shards deposit into per-shard byte series
-/// merged in shard order, then per-link conversion runs on disjoint link
-/// shards; the shard decomposition is a pure function of the input, so the
-/// result is byte-identical at any thread count (docs/PERFORMANCE.md).
+/// Fixed-size flow chunks deposit into byte series merged in chunk order,
+/// which fixes the floating-point summation order (docs/PERFORMANCE.md).
 [[nodiscard]] LinkUtilizationMap utilization_from_trace(const ClusterTrace& trace,
                                                         const Topology& topo,
-                                                        TimeSec bin_width,
-                                                        ThreadPool* pool = nullptr);
+                                                        TimeSec bin_width);
 
 /// One link's hot episodes.
 struct LinkCongestion {
@@ -91,14 +86,9 @@ struct CongestionReport {
   std::size_t low_confidence_links = 0;
 };
 
-/// Episode extraction is per-link-independent, so the parallel version
-/// shards the inter-switch link list and merges per-shard partial reports
-/// (episode lists, counters, duration lists, hot-bin counts) in shard
-/// order.  All merged quantities are integer-valued or per-link maxima, so
-/// the report is bit-identical to the serial one at any thread count.
+/// Extracts every inter-switch link's episodes at `threshold`.
 [[nodiscard]] CongestionReport congestion_report(const LinkUtilizationMap& util,
-                                                 const Topology& topo, double threshold,
-                                                 ThreadPool* pool = nullptr);
+                                                 const Topology& topo, double threshold);
 
 /// Annotates a report built from a lossily collected trace: for every
 /// inter-switch link, computes the mean whole-trace coverage of the servers

@@ -7,50 +7,19 @@
 #include "common/require.h"
 #include "common/stats.h"
 #include "obs/metrics.h"
-#include "parallel/thread_pool.h"
 
 namespace dct {
 
-namespace {
-
-// Shard grains (docs/PERFORMANCE.md) — fixed constants, never derived from
-// the thread count, so the sample order fed into every CDF is a pure
-// function of the input.
-constexpr std::size_t kFlowStatGrain = 65536;  // flows per sample shard
-constexpr std::size_t kServerGapGrain = 64;    // servers per sort shard
-constexpr std::size_t kRackGapGrain = 8;       // racks per sort shard
-
-}  // namespace
-
-FlowDurationStats flow_duration_stats(const ClusterTrace& trace, ThreadPool* pool) {
+FlowDurationStats flow_duration_stats(const ClusterTrace& trace) {
 #if DCT_OBS_ENABLED
   obs::WallNsCounter obs_timer(detail::g_analysis_metrics.flowstats_wall_ns);
 #endif
   FlowDurationStats out;
-  const auto& flows = trace.flows();
-  // Shards collect (duration, bytes) samples from disjoint flow ranges;
-  // replaying the shard lists in shard order reproduces the serial scan's
-  // exact sample sequence.
-  struct Sample {
-    double duration;
-    double bytes;  // <= 0: excluded from the byte-weighted CDF
-  };
-  const auto shards = shard_ranges(flows.size(), kFlowStatGrain);
-  std::vector<std::vector<Sample>> partials(shards.size());
-  parallel_for_shards(pool, shards.size(), [&](std::size_t s) {
-    auto& samples = partials[s];
-    for (std::size_t i = shards[s].begin; i < shards[s].end; ++i) {
-      const SocketFlowLog& f = flows[i];
-      if (f.truncated) continue;  // lifetime unknown; excluding avoids bias
-      samples.push_back({std::max(f.duration(), 1e-4),
-                         static_cast<double>(f.bytes)});
-    }
-  });
-  for (const auto& samples : partials) {
-    for (const Sample& smp : samples) {
-      out.by_count.add(smp.duration);
-      if (smp.bytes > 0) out.by_bytes.add(smp.duration, smp.bytes);
-    }
+  for (const SocketFlowLog& f : trace.flows()) {
+    if (f.truncated) continue;  // lifetime unknown; excluding avoids bias
+    const double duration = std::max(f.duration(), 1e-4);
+    out.by_count.add(duration);
+    if (f.bytes > 0) out.by_bytes.add(duration, static_cast<double>(f.bytes));
   }
   out.by_count.finalize();
   out.by_bytes.finalize();
@@ -78,43 +47,32 @@ void collect_gaps(std::vector<double>& starts, std::vector<double>& gaps) {
 }  // namespace
 
 InterArrivalStats inter_arrival_stats(const ClusterTrace& trace, const Topology& topo,
-                                      ArrivalScope scope, ThreadPool* pool) {
+                                      ArrivalScope scope) {
 #if DCT_OBS_ENABLED
   obs::WallNsCounter obs_timer(detail::g_analysis_metrics.flowstats_wall_ns);
 #endif
   std::vector<double> gaps;
 
   if (scope == ArrivalScope::kCluster) {
-    // One global sort: runs on the calling thread regardless of the pool.
     std::vector<double> starts;
     starts.reserve(trace.flow_count());
     for (const SocketFlowLog& f : trace.flows()) starts.push_back(f.start);
     collect_gaps(starts, gaps);
   } else if (scope == ArrivalScope::kServer) {
     // A server sees the flows it sends or receives; pool inter-arrivals
-    // over all servers.  The per-server sorts are independent, so server
-    // shards fill disjoint gap slots, appended in server order below.
-    const auto n = static_cast<std::size_t>(topo.internal_server_count());
-    std::vector<std::vector<double>> per_server(n);
-    const auto shards = shard_ranges(n, kServerGapGrain);
-    parallel_for_shards(pool, shards.size(), [&](std::size_t sh) {
-      for (std::size_t s = shards[sh].begin; s < shards[sh].end; ++s) {
-        std::vector<double> starts;
-        const auto& log =
-            trace.server_log(ServerId{static_cast<std::int32_t>(s)}).flows;
-        starts.reserve(log.size());
-        for (const SocketFlowLog& f : log) starts.push_back(f.start);
-        collect_gaps(starts, per_server[s]);
-      }
-    });
-    for (const auto& server_gaps : per_server) {
-      gaps.insert(gaps.end(), server_gaps.begin(), server_gaps.end());
+    // over all servers, in server order.
+    const std::int32_t n = topo.internal_server_count();
+    std::vector<double> starts;
+    for (std::int32_t s = 0; s < n; ++s) {
+      const auto& log = trace.server_log(ServerId{s}).flows;
+      starts.clear();
+      for (const SocketFlowLog& f : log) starts.push_back(f.start);
+      collect_gaps(starts, gaps);
     }
   } else {
     // A ToR sees flows with an endpoint in its rack that leave the server
     // (all logged flows do).  Group sender-side flows by rack of either
-    // endpoint (serial pass), then sort each rack's arrivals on rack
-    // shards into disjoint slots appended in rack order.
+    // endpoint, then pool each rack's inter-arrivals in rack order.
     const auto n_racks = static_cast<std::size_t>(topo.rack_count());
     std::vector<std::vector<double>> per_rack(n_racks);
     for (const SocketFlowLog& f : trace.flows()) {
@@ -127,14 +85,7 @@ InterArrivalStats inter_arrival_stats(const ClusterTrace& trace, const Topology&
             f.start);
       }
     }
-    std::vector<std::vector<double>> rack_gaps(n_racks);
-    const auto shards = shard_ranges(n_racks, kRackGapGrain);
-    parallel_for_shards(pool, shards.size(), [&](std::size_t sh) {
-      for (std::size_t r = shards[sh].begin; r < shards[sh].end; ++r) {
-        collect_gaps(per_rack[r], rack_gaps[r]);
-      }
-    });
-    for (const auto& rg : rack_gaps) gaps.insert(gaps.end(), rg.begin(), rg.end());
+    for (std::vector<double>& starts : per_rack) collect_gaps(starts, gaps);
   }
 
   InterArrivalStats out;
@@ -271,23 +222,14 @@ PeriodicityScore inter_arrival_periodicity(const InterArrivalStats& stats,
   return out;
 }
 
-FlowSizeStats flow_size_stats(const ClusterTrace& trace, ThreadPool* pool) {
+FlowSizeStats flow_size_stats(const ClusterTrace& trace) {
 #if DCT_OBS_ENABLED
   obs::WallNsCounter obs_timer(detail::g_analysis_metrics.flowstats_wall_ns);
 #endif
   FlowSizeStats out;
-  const auto& flows = trace.flows();
-  const auto shards = shard_ranges(flows.size(), kFlowStatGrain);
-  std::vector<std::vector<double>> partials(shards.size());
-  parallel_for_shards(pool, shards.size(), [&](std::size_t s) {
-    for (std::size_t i = shards[s].begin; i < shards[s].end; ++i) {
-      const SocketFlowLog& f = flows[i];
-      if (f.bytes <= 0 || f.truncated) continue;
-      partials[s].push_back(static_cast<double>(f.bytes));
-    }
-  });
-  for (const auto& samples : partials) {
-    for (const double b : samples) out.bytes.add(b);
+  for (const SocketFlowLog& f : trace.flows()) {
+    if (f.bytes <= 0 || f.truncated) continue;
+    out.bytes.add(static_cast<double>(f.bytes));
   }
   out.bytes.finalize();
   if (out.bytes.sample_count() > 0) {

@@ -19,8 +19,6 @@
 
 namespace dct {
 
-class ThreadPool;  // parallel/thread_pool.h
-
 /// Fig. 9: flow-duration CDFs.
 struct FlowDurationStats {
   Cdf by_count;   ///< P(duration <= x) over flows
@@ -34,11 +32,7 @@ struct FlowDurationStats {
   /// them as estimates from a sample.
   double coverage = 1.0;
 };
-/// With a pool, fixed-size flow shards collect per-shard sample lists that
-/// are replayed into the CDFs in shard order — the exact sample sequence of
-/// the serial scan, so the result is bit-identical at any thread count.
-[[nodiscard]] FlowDurationStats flow_duration_stats(const ClusterTrace& trace,
-                                                    ThreadPool* pool = nullptr);
+[[nodiscard]] FlowDurationStats flow_duration_stats(const ClusterTrace& trace);
 
 /// Observation scope for inter-arrival analysis.
 enum class ArrivalScope : std::uint8_t { kCluster, kToR, kServer };
@@ -61,14 +55,9 @@ struct InterArrivalStats {
   /// gap-free trace.
   double corrected_rate_per_s = 0;
 };
-/// kServer and kToR scopes sort per-entity arrival lists on shards of
-/// servers / racks (disjoint output slots appended in entity order), so the
-/// pooled result is bit-identical to the serial one.  kCluster is one
-/// global sort and always runs on the calling thread.
 [[nodiscard]] InterArrivalStats inter_arrival_stats(const ClusterTrace& trace,
                                                     const Topology& topo,
-                                                    ArrivalScope scope,
-                                                    ThreadPool* pool = nullptr);
+                                                    ArrivalScope scope);
 
 /// A detected periodic mode in the inter-arrival distribution.
 struct InterArrivalMode {
@@ -112,8 +101,6 @@ struct FlowSizeStats {
   double p99 = 0;
   double max = 0;
 };
-/// Sharded like flow_duration_stats (bit-identical at any thread count).
-[[nodiscard]] FlowSizeStats flow_size_stats(const ClusterTrace& trace,
-                                            ThreadPool* pool = nullptr);
+[[nodiscard]] FlowSizeStats flow_size_stats(const ClusterTrace& trace);
 
 }  // namespace dct

@@ -1,7 +1,6 @@
 #include "analysis/traffic_matrix.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <unordered_map>
 
@@ -9,7 +8,6 @@
 #include "common/require.h"
 #include "common/stats.h"
 #include "obs/metrics.h"
-#include "parallel/thread_pool.h"
 
 namespace dct {
 
@@ -31,24 +29,9 @@ void SparseTm::merge_from(const SparseTm& other) {
   require(other.n_ == n_, "SparseTm::merge_from: size mismatch");
   // One add per cell and one for the total: iteration order over `other`
   // cannot change any sum, so the merge is deterministic as long as the
-  // *sequence of merge_from calls* is (shard order, enforced by callers).
+  // *sequence of merge_from calls* is (chunk order, enforced by callers).
   for (const auto& [k, v] : other.cells_) cells_[k] += v;
   total_ += other.total_;
-}
-
-bool SparseTm::identical(const SparseTm& a, const SparseTm& b) {
-  if (a.n_ != b.n_ || a.cells_.size() != b.cells_.size()) return false;
-  if (std::bit_cast<std::uint64_t>(a.total_) != std::bit_cast<std::uint64_t>(b.total_)) {
-    return false;
-  }
-  for (const auto& [k, v] : a.cells_) {
-    const auto it = b.cells_.find(k);
-    if (it == b.cells_.end()) return false;
-    if (std::bit_cast<std::uint64_t>(v) != std::bit_cast<std::uint64_t>(it->second)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::vector<SparseTm::Entry> SparseTm::entries() const {
@@ -94,12 +77,15 @@ double SparseTm::entries_for_volume(double volume_fraction) const {
 
 namespace {
 
-// Shard grains for the parallel builders (docs/PERFORMANCE.md).  Fixed
-// constants, never derived from the thread count: the shard decomposition —
-// and with it every FP reduction order — must be a pure function of the
-// input so results are byte-identical at any parallelism.
-constexpr std::size_t kTmFlowGrain = 8192;   // flows per TM-deposit shard
-constexpr std::size_t kGapServerGrain = 16;  // servers per ledger-settle shard
+// Chunk sizes of the chunked TM builders (docs/PERFORMANCE.md).  Each chunk
+// deposits into a fresh partial that is merged into the result in chunk
+// order, so these sizes set the floating-point summation order, and the
+// pinned analysis digests (tests/golden_test.cc) depend on it.  A partial is
+// never cleared and reused: a cleared unordered_map keeps its buckets, which
+// can change the order cells enter the result, and later sums over
+// entries() follow that order.
+constexpr std::size_t kTmFlowChunk = 8192;   // flows per TM-deposit chunk
+constexpr std::size_t kGapServerChunk = 16;  // servers per ledger-settle chunk
 
 // Maps a flow endpoint to a TM node index, or -1 to drop the flow.
 std::int32_t scope_node(const Topology& topo, ServerId s, TmScope scope) {
@@ -108,9 +94,8 @@ std::int32_t scope_node(const Topology& topo, ServerId s, TmScope scope) {
   return topo.rack_of(s).value();
 }
 
-// Deposits flows [begin, end) of the trace into `tms` — the single-pass
-// body of build_tm_series, factored out so shards can run it on disjoint
-// flow ranges against private partial matrices.
+// Deposits flows [begin, end) of the trace into `tms` — the body of
+// build_tm_series, run once per chunk.
 void deposit_tm_range(const std::vector<SocketFlowLog>& flows, std::size_t begin,
                       std::size_t end, const Topology& topo, TimeSec duration,
                       TimeSec window, TmScope scope, std::vector<SparseTm>& tms) {
@@ -144,8 +129,11 @@ void deposit_tm_range(const std::vector<SocketFlowLog>& flows, std::size_t begin
 }  // namespace
 
 std::vector<SparseTm> build_tm_series(const ClusterTrace& trace, const Topology& topo,
-                                      TimeSec window, TmScope scope, ThreadPool* pool) {
+                                      TimeSec window, TmScope scope) {
   require(window > 0, "build_tm_series: window must be > 0");
+  // The window count is cast to size_t; an out-of-range cast is undefined.
+  require(trace.duration() / window < 0x1p63,
+          "build_tm_series: duration / window overflows the window count");
 #if DCT_OBS_ENABLED
   obs::WallNsCounter obs_timer(detail::g_analysis_metrics.tm_build_wall_ns);
 #endif
@@ -156,24 +144,16 @@ std::vector<SparseTm> build_tm_series(const ClusterTrace& trace, const Topology&
   std::vector<SparseTm> tms(std::max<std::size_t>(n_windows, 1), SparseTm(n));
 
   const auto& flows = trace.flows();
-  const auto shards = shard_ranges(flows.size(), kTmFlowGrain);
-  if (shards.size() <= 1) {
-    // Single shard: deposit straight into the result — exactly the
-    // historical single-pass builder.
+  if (flows.size() <= kTmFlowChunk) {
+    // One chunk: deposit straight into the result.
     deposit_tm_range(flows, 0, flows.size(), topo, trace.duration(), window, scope,
                      tms);
     return tms;
   }
-  // Per-shard partial matrices, merged in shard order on this thread.  The
-  // decomposition is a function of the flow count alone, so serial and
-  // pooled runs reduce in the same order and agree bit-for-bit.
-  std::vector<std::vector<SparseTm>> partials(shards.size());
-  parallel_for_shards(pool, shards.size(), [&](std::size_t s) {
-    partials[s].assign(tms.size(), SparseTm(n));
-    deposit_tm_range(flows, shards[s].begin, shards[s].end, topo, trace.duration(),
-                     window, scope, partials[s]);
-  });
-  for (const auto& partial : partials) {
+  for (std::size_t begin = 0; begin < flows.size(); begin += kTmFlowChunk) {
+    std::vector<SparseTm> partial(tms.size(), SparseTm(n));
+    deposit_tm_range(flows, begin, std::min(begin + kTmFlowChunk, flows.size()), topo,
+                     trace.duration(), window, scope, partial);
     for (std::size_t w = 0; w < tms.size(); ++w) tms[w].merge_from(partial[w]);
   }
   return tms;
@@ -210,8 +190,7 @@ double pair_observability(const ClusterTrace& trace, ServerId a, ServerId b,
 std::vector<SparseTm> build_tm_series_gap_aware(const ClusterTrace& trace,
                                                 const Topology& topo, TimeSec window,
                                                 TmScope scope,
-                                                const TmCoverageOptions& options,
-                                                ThreadPool* pool) {
+                                                const TmCoverageOptions& options) {
   require(window > 0, "build_tm_series_gap_aware: window must be > 0");
   require(options.reference_halo >= 0,
           "build_tm_series_gap_aware: reference_halo must be >= 0");
@@ -219,13 +198,13 @@ std::vector<SparseTm> build_tm_series_gap_aware(const ClusterTrace& trace,
           "build_tm_series_gap_aware: count_shrinkage must be >= 0");
   if (trace.gaps().empty()) {
     // identical by construction
-    return build_tm_series(trace, topo, window, scope, pool);
+    return build_tm_series(trace, topo, window, scope);
   }
 
   // Pass 1 — naive deposits.  Every surviving flow contributes exactly as in
   // build_tm_series; the ledger below only ever adds mass on top, so cells
   // no correction touches stay bit-identical.
-  std::vector<SparseTm> tms = build_tm_series(trace, topo, window, scope, pool);
+  std::vector<SparseTm> tms = build_tm_series(trace, topo, window, scope);
 
   // Index the surviving records by endpoint.  Server a's log holds exactly
   // one record per flow with endpoint a (a send or a recv copy), so these
@@ -263,10 +242,9 @@ std::vector<SparseTm> build_tm_series_gap_aware(const ClusterTrace& trace,
   }
 
   // Pass 2 — settle each hole's ledger.  Servers settle in ascending id
-  // order (not map order) into per-shard partial matrices, merged in shard
+  // order (not map order) into per-chunk partial matrices, merged in chunk
   // order: corrections for different servers can touch the same cell, so a
-  // fixed deposit sequence is what keeps the corrected series reproducible
-  // — and byte-identical at any thread count.
+  // fixed deposit sequence is what keeps the corrected series reproducible.
   std::vector<std::int32_t> loss_servers;
   loss_servers.reserve(lost_by_server.size());
   for (const auto& [server, lost] : lost_by_server) loss_servers.push_back(server);
@@ -351,27 +329,22 @@ std::vector<SparseTm> build_tm_series_gap_aware(const ClusterTrace& trace,
     }
   };
 
-  const std::int32_t n = tms.empty() ? 0 : tms.front().size();
-  const auto shards = shard_ranges(loss_servers.size(), kGapServerGrain);
-  if (shards.size() <= 1) {
+  if (loss_servers.size() <= kGapServerChunk) {
     for (const std::int32_t server : loss_servers) settle_server(server, tms);
     return tms;
   }
-  std::vector<std::vector<SparseTm>> partials(shards.size());
-  parallel_for_shards(pool, shards.size(), [&](std::size_t s) {
-    partials[s].assign(tms.size(), SparseTm(n));
-    for (std::size_t i = shards[s].begin; i < shards[s].end; ++i) {
-      settle_server(loss_servers[i], partials[s]);
-    }
-  });
-  for (const auto& partial : partials) {
+  const std::int32_t n = tms.front().size();
+  for (std::size_t begin = 0; begin < loss_servers.size(); begin += kGapServerChunk) {
+    std::vector<SparseTm> partial(tms.size(), SparseTm(n));
+    const std::size_t end = std::min(begin + kGapServerChunk, loss_servers.size());
+    for (std::size_t i = begin; i < end; ++i) settle_server(loss_servers[i], partial);
     for (std::size_t w = 0; w < tms.size(); ++w) tms[w].merge_from(partial[w]);
   }
   return tms;
 }
 
 SparseTm build_tm(const ClusterTrace& trace, const Topology& topo, TimeSec t0,
-                  TimeSec window, TmScope scope, ThreadPool* pool) {
+                  TimeSec window, TmScope scope) {
   require(window > 0, "build_tm: window must be > 0");
 #if DCT_OBS_ENABLED
   obs::WallNsCounter obs_timer(detail::g_analysis_metrics.tm_build_wall_ns);
@@ -395,16 +368,15 @@ SparseTm build_tm(const ClusterTrace& trace, const Topology& topo, TimeSec t0,
   };
 
   SparseTm tm(n);
-  const auto shards = shard_ranges(flows.size(), kTmFlowGrain);
-  if (shards.size() <= 1) {
+  if (flows.size() <= kTmFlowChunk) {
     deposit(0, flows.size(), tm);
     return tm;
   }
-  std::vector<SparseTm> partials(shards.size(), SparseTm(n));
-  parallel_for_shards(pool, shards.size(), [&](std::size_t s) {
-    deposit(shards[s].begin, shards[s].end, partials[s]);
-  });
-  for (const SparseTm& partial : partials) tm.merge_from(partial);
+  for (std::size_t begin = 0; begin < flows.size(); begin += kTmFlowChunk) {
+    SparseTm partial(n);
+    deposit(begin, std::min(begin + kTmFlowChunk, flows.size()), partial);
+    tm.merge_from(partial);
+  }
   return tm;
 }
 
@@ -518,6 +490,10 @@ LocalityBreakdown locality_breakdown(const SparseTm& server_tm, const Topology& 
 }
 
 BinnedSeries aggregate_rate_series(const ClusterTrace& trace, TimeSec bin_width) {
+  require(bin_width > 0, "aggregate_rate_series: bin_width must be > 0");
+  // The bin count is cast to size_t; an out-of-range cast is undefined.
+  require(trace.duration() / bin_width < 0x1p63,
+          "aggregate_rate_series: duration / bin_width overflows the bin count");
   const auto bins =
       static_cast<std::size_t>(std::ceil(trace.duration() / bin_width));
   BinnedSeries series(0.0, bin_width, std::max<std::size_t>(bins, 1));

@@ -20,8 +20,6 @@
 
 namespace dct {
 
-class ThreadPool;  // parallel/thread_pool.h
-
 /// A sparse origin-destination byte matrix over `n` entities.
 class SparseTm {
  public:
@@ -31,15 +29,10 @@ class SparseTm {
   [[nodiscard]] double at(std::int32_t from, std::int32_t to) const;
 
   /// Accumulates another matrix of the same size into this one — the merge
-  /// step for shard-parallel TM construction.  Each of `other`'s cells is
-  /// added with exactly one FP add, so merging shard partials in shard
-  /// order yields the same bits regardless of thread count.
+  /// step of the chunked TM builders.  Each of `other`'s cells is added with
+  /// exactly one FP add, so merging chunk partials in chunk order fixes
+  /// every sum.
   void merge_from(const SparseTm& other);
-
-  /// True iff the two matrices are bit-identical: same size and exactly the
-  /// same cells with bitwise-equal byte values (and bitwise-equal totals).
-  /// Used by the determinism tests/bench, where "close" is not enough.
-  [[nodiscard]] static bool identical(const SparseTm& a, const SparseTm& b);
 
   [[nodiscard]] std::int32_t size() const noexcept { return n_; }
   [[nodiscard]] std::size_t nonzero_count() const noexcept { return cells_.size(); }
@@ -86,20 +79,16 @@ enum class TmScope : std::uint8_t { kServer, kToR };
 /// ToR scope drops same-rack and external traffic, matching the paper's
 /// ToR-to-ToR matrices.
 ///
-/// With a pool, fixed-size flow shards deposit into per-shard partial
-/// matrices that are then merged in shard order on the calling thread.  The
-/// shard decomposition depends only on the flow count — never on the thread
-/// count — so the result is byte-identical at any parallelism, including
-/// pool == nullptr (docs/PERFORMANCE.md).
+/// Fixed-size flow chunks deposit into partial matrices merged in chunk
+/// order, which fixes the floating-point summation order
+/// (docs/PERFORMANCE.md).
 [[nodiscard]] std::vector<SparseTm> build_tm_series(const ClusterTrace& trace,
                                                     const Topology& topo, TimeSec window,
-                                                    TmScope scope,
-                                                    ThreadPool* pool = nullptr);
+                                                    TmScope scope);
 
-/// One TM over [t0, t0+window).  Sharded like build_tm_series.
+/// One TM over [t0, t0+window).  Chunked like build_tm_series.
 [[nodiscard]] SparseTm build_tm(const ClusterTrace& trace, const Topology& topo,
-                                TimeSec t0, TimeSec window, TmScope scope,
-                                ThreadPool* pool = nullptr);
+                                TimeSec t0, TimeSec window, TmScope scope);
 
 // ---------------------------------------------------------------------------
 // Gap-aware TM construction from a lossily collected trace
@@ -154,13 +143,11 @@ struct TmCoverageOptions {
 /// triggers no correction, so no mass is ever invented where nothing was
 /// lost.  Gaps lacking counts (records_lost == 0, e.g. decoder-salvage
 /// gaps) degrade to the naive estimate.
-/// Sharding: pass 1 is build_tm_series (flow shards); pass 2 settles
-/// ledgers per server shard (in ascending server order) into per-shard
-/// partial matrices merged in shard order, so the corrected series is also
-/// byte-identical at any thread count.
+/// Pass 1 is build_tm_series; pass 2 settles ledgers in chunks of servers
+/// (in ascending server order) into partial matrices merged in chunk order.
 [[nodiscard]] std::vector<SparseTm> build_tm_series_gap_aware(
     const ClusterTrace& trace, const Topology& topo, TimeSec window, TmScope scope,
-    const TmCoverageOptions& options = {}, ThreadPool* pool = nullptr);
+    const TmCoverageOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // §4.1 pattern statistics

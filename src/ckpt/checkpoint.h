@@ -1,8 +1,8 @@
 // Crash-safe checkpoint/restart manager (docs/CHECKPOINT.md).
 //
 // The repo's recovery model is deterministic replay, which the determinism
-// contract (docs/PERFORMANCE.md) makes sound: a scenario re-run from t=0
-// with the same config produces bit-identical events at any thread count.
+// rules (docs/PERFORMANCE.md) make sound: a scenario re-run from t=0 with
+// the same config produces bit-identical events.
 // The one durable progress record is therefore the write-ahead trace spool
 // (trace.dwal, ckpt/wal.h), the analogue of the paper's per-server socket
 // log.  On resume, every record the replay re-emits inside the durable

@@ -42,7 +42,7 @@ class BinnedSeries {
   [[nodiscard]] BinnedSeries coarsen(std::size_t factor) const;
 
   /// Elementwise accumulation of another series with identical shape
-  /// (t0, width, bin count) — the merge step for shard-parallel deposits.
+  /// (t0, width, bin count) — the merge step for chunked deposits.
   void add_series(const BinnedSeries& other);
 
  private:

@@ -33,10 +33,6 @@ ClusterExperiment::ClusterExperiment(ScenarioConfig config)
   config_.cascades.validate();
   config_.telemetry.validate();
   config_.checkpoint.validate();
-  require(config_.parallelism >= 1, "ScenarioConfig: parallelism must be >= 1");
-  if (config_.parallelism > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.parallelism);
-  }
   // The overlay is always installed; while every device is up it delegates
   // to the immutable topology, so a fault-free run is unchanged.
   sim_.set_network_state(&net_);
@@ -64,7 +60,6 @@ void ClusterExperiment::run() {
     bind_codec_metrics(&registry_);
     bind_analysis_metrics(&registry_);
     process_metrics_bound_ = true;
-    if (pool_) pool_->bind_metrics(&registry_);
   }
   driver_.install();
   std::vector<FaultEvent> faults;
@@ -247,7 +242,6 @@ obs::RunManifest ClusterExperiment::manifest(const std::string& harness) const {
   m.config["telemetry_schedule_hash"] =
       static_cast<double>(telemetry_hash_ & ((1ull << 48) - 1));
   m.config["obs_sample_interval_s"] = config_.obs_sample_interval;
-  m.config["parallelism"] = static_cast<double>(config_.parallelism);
   // Checkpoint lineage keys appear only when checkpointing is on, keeping
   // disabled-mode manifests bit-identical to pre-checkpoint builds.
   if (config_.checkpoint.enabled()) {

@@ -23,7 +23,6 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
-#include "parallel/thread_pool.h"
 #include "topology/network_state.h"
 #include "topology/topology.h"
 #include "trace/cluster_trace.h"
@@ -118,8 +117,7 @@ class ClusterExperiment {
   }
   /// Scenario identity that binds checkpoint artifacts to this experiment:
   /// name, seed, horizon, topology shape, subsystem-enable flags and the
-  /// event-schedule-shaping intervals.  Parallelism is excluded — by the
-  /// determinism contract it cannot change results.
+  /// event-schedule-shaping intervals.
   [[nodiscard]] std::uint64_t scenario_fingerprint() const;
 
   // --- Self-instrumentation (src/obs, docs/METRICS.md) --------------------
@@ -132,12 +130,6 @@ class ClusterExperiment {
   [[nodiscard]] const obs::Sampler* sampler() const noexcept { return sampler_.get(); }
   /// Wall-clock seconds spent inside run() (0 before the run).
   [[nodiscard]] double wall_seconds() const noexcept { return wall_seconds_; }
-  /// The experiment's analysis thread pool, or nullptr when the scenario's
-  /// parallelism is 1.  Pass it to the analysis entry points (build_tm_series,
-  /// congestion_report, ...) and DecodeOptions::pool; every one of them is
-  /// byte-identical with or without it (docs/PERFORMANCE.md).  The simulator
-  /// itself never touches the pool.
-  [[nodiscard]] ThreadPool* analysis_pool() noexcept { return pool_.get(); }
   /// Builds the reproducibility record for this run: scenario identity,
   /// config summary, build flags, final metrics, wall time.  `harness`
   /// names the producing binary.  Requires run() to have completed.
@@ -157,7 +149,6 @@ class ClusterExperiment {
   WorkloadDriver driver_;
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<ckpt::CheckpointManager> ckpt_;
-  std::unique_ptr<ThreadPool> pool_;
   std::uint64_t schedule_hash_ = 0;
   TelemetryFaultSchedule telemetry_schedule_;
   std::uint64_t telemetry_hash_ = 0;

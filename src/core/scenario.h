@@ -67,14 +67,6 @@ struct ScenarioConfig {
   /// carries no metrics.  bench/obs_overhead flips this to measure live
   /// instrumentation against its dormant floor; leave it on otherwise.
   bool obs_bind_metrics = true;
-  /// Worker threads for the analysis/ingest paths (trace decode, traffic
-  /// matrices, congestion, flow statistics).  1 (the default) runs
-  /// everything on the calling thread; > 1 gives ClusterExperiment a
-  /// ThreadPool that those paths fan out on.  Results are byte-identical at
-  /// any value — the shard decomposition never depends on it
-  /// (docs/PERFORMANCE.md) — and the value is recorded in the run manifest.
-  /// The simulator itself stays single-threaded by design.
-  std::int32_t parallelism = 1;
 };
 
 namespace scenarios {

@@ -66,7 +66,6 @@ const std::vector<Knob>& knob_table() {
       DCT_KNOB("topology.agg_switches", topology.agg_switches, std::int32_t),
       DCT_KNOB("topology.external_servers", topology.external_servers, std::int32_t),
       DCT_KNOB("topology.redundant_tor_uplinks", topology.redundant_tor_uplinks, bool),
-      DCT_KNOB("parallelism", parallelism, std::int32_t),
       DCT_KNOB("workload.jobs_per_second", workload.jobs_per_second, double),
       DCT_KNOB("workload.speculative_execution", workload.speculative_execution, bool),
       DCT_KNOB("workload.spec_slowdown_threshold", workload.spec_slowdown_threshold,
@@ -176,7 +175,6 @@ std::uint32_t feature_mask(const ScenarioConfig& cfg) {
   if (cfg.workload.repair.paced) mask |= kFeatPacedRepair;
   if (cfg.workload.speculative_execution) mask |= kFeatSpeculation;
   if (cfg.workload.hedged_reads) mask |= kFeatHedgedReads;
-  if (cfg.parallelism > 1) mask |= kFeatParallel;
   if (cfg.topology.redundant_tor_uplinks) mask |= kFeatRedundantUplinks;
   return mask;
 }
@@ -273,7 +271,6 @@ ScenarioConfig generate_scenario(std::uint64_t seed, double max_duration) {
     cfg.workload.hedge_min_timeout = uni(0.5, 3.0);
   }
   cfg.workload.read_retry_jitter = uni(0.0, 0.9);
-  cfg.parallelism = uni_int(1, 4);
   return cfg;
 }
 
@@ -366,11 +363,6 @@ ShrinkResult shrink_scenario(const ScenarioConfig& failing,
         c.workload.jobs_per_second = std::max(0.1, c.workload.jobs_per_second / 2.0);
         return true;
       },
-      [](ScenarioConfig& c) {
-        if (c.parallelism <= 1) return false;
-        c.parallelism = 1;
-        return true;
-      },
   };
 
   ShrinkResult result;
@@ -425,6 +417,27 @@ ScenarioConfig scenario_from_repro(const std::string& json) {
     }
     return std::strtoull(json.c_str() + off, nullptr, 10);
   };
+  // Every key inside "knobs" must name a knob.  A misspelt or retired key
+  // would otherwise be skipped, and the replay would silently run tiny()'s
+  // value instead of the repro's.  Knob values are bare numbers, so each
+  // quoted string in the object is a key.
+  const auto knobs_at = value_offset(json, "knobs");
+  if (knobs_at != std::string::npos) {
+    const auto open = json.find('{', knobs_at);
+    const auto close = json.find('}', open);
+    require(open != std::string::npos && close != std::string::npos,
+            "scenario_from_repro: malformed knobs object");
+    for (auto q = json.find('"', open); q < close; q = json.find('"', q + 1)) {
+      const auto end = json.find('"', q + 1);
+      require(end < close, "scenario_from_repro: malformed knobs object");
+      const std::string key = json.substr(q + 1, end - q - 1);
+      const auto& table = knob_table();
+      require(std::any_of(table.begin(), table.end(),
+                          [&](const Knob& k) { return key == k.key; }),
+              "scenario_from_repro: unknown knob key " + key);
+      q = end;
+    }
+  }
   const std::uint64_t seed = u64_at("seed", true, 0);
   ScenarioConfig cfg = scenarios::tiny(30.0, seed);
   cfg.name = "proptest";

@@ -37,7 +37,6 @@ enum ScenarioFeature : std::uint32_t {
   kFeatPacedRepair = 1u << 5,
   kFeatSpeculation = 1u << 6,
   kFeatHedgedReads = 1u << 7,
-  kFeatParallel = 1u << 8,  ///< analysis parallelism > 1
   kFeatRedundantUplinks = 1u << 9,
 };
 

@@ -8,7 +8,6 @@
 
 #include "analysis/traffic_matrix.h"
 #include "packetsim/incast_sim.h"
-#include "parallel/thread_pool.h"
 #include "trace/codec.h"
 
 namespace dct::testing {
@@ -77,31 +76,6 @@ void determinism_oracle(ClusterExperiment& a, ClusterExperiment& b,
       << pos << "\n  A: ..." << ma.substr(from, 160) << "\n  B: ..."
       << mb.substr(from, 160);
     report.fail("oracle.determinism", d.str());
-  }
-}
-
-void parallel_oracle(ClusterExperiment& exp, int threads, InvariantReport& report) {
-  ThreadPool pool(std::max(2, threads));
-  const auto tms_serial = build_tm_series_gap_aware(
-      exp.observed_trace(), exp.topology(), 5.0, TmScope::kServer);
-  const auto tms_pooled = build_tm_series_gap_aware(
-      exp.observed_trace(), exp.topology(), 5.0, TmScope::kServer, {}, &pool);
-  bool tm_same = tms_serial.size() == tms_pooled.size();
-  for (std::size_t w = 0; tm_same && w < tms_serial.size(); ++w) {
-    tm_same = SparseTm::identical(tms_serial[w], tms_pooled[w]);
-  }
-  if (!tm_same) {
-    report.fail("oracle.parallel",
-                "pooled gap-aware TM series differs from serial at " +
-                    std::to_string(threads) + " threads");
-  }
-  const auto obs_encoded = encode_trace(exp.observed_trace());
-  DecodeOptions popt;
-  popt.pool = &pool;
-  if (encode_trace(decode_trace(obs_encoded, popt)) !=
-      encode_trace(decode_trace(obs_encoded))) {
-    report.fail("oracle.parallel", "pooled decode differs from serial at " +
-                                       std::to_string(threads) + " threads");
   }
 }
 

@@ -3,8 +3,6 @@
 //
 //   determinism_oracle  — run twice: traces, schedules and manifests must be
 //                         byte-identical (modulo wall clock);
-//   parallel_oracle     — serial vs pooled analysis: bit-identity at any
-//                         thread count (docs/PERFORMANCE.md);
 //   checkpoint_oracle   — plain vs checkpointed vs resume-of-completed runs:
 //                         bit-identity (docs/CHECKPOINT.md); the kill-9 mid-
 //                         run variant lives in tools/crash, which fork/kills
@@ -47,11 +45,6 @@ namespace dct::testing {
 /// traces, schedule hashes, telemetry hashes, observed traces and manifests.
 void determinism_oracle(ClusterExperiment& a, ClusterExperiment& b,
                         const std::string& harness, InvariantReport& report);
-
-/// Rebuilds `exp`'s analysis (gap-aware TM series, salvage-capable decode)
-/// through a `threads`-wide pool and requires bit-identity with the serial
-/// path.  Call after any manifest capture.
-void parallel_oracle(ClusterExperiment& exp, int threads, InvariantReport& report);
 
 /// Runs `cfg` three ways — without checkpointing, with checkpointing into
 /// `workdir`, and as a resume of the completed checkpoint directory (which

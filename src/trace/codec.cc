@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <limits>
 
 #include "common/require.h"
-#include "parallel/thread_pool.h"
 
 namespace dct {
 namespace {
@@ -23,11 +21,6 @@ struct CodecMetrics {
 };
 CodecMetrics g_codec_metrics;
 #endif  // DCT_OBS_ENABLED
-
-// Servers per decode task.  Decode work is per-server independent (no
-// floating-point accumulation), so the grain affects scheduling only, never
-// the decoded bytes.
-constexpr std::size_t kDecodeShardGrain = 16;
 
 }  // namespace
 
@@ -381,113 +374,50 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data,
   const TimeSec duration = r.time_us();
   ClusterTrace trace(servers, duration);
 
-  // The server section runs in three phases so the segment decodes — the
-  // bulk of the work — can fan out across a thread pool while the result
-  // stays byte-identical to a sequential decode:
-  //
-  //   1. slice   (sequential): walk the length-prefixed framing, noting each
-  //               segment as a subspan of the input (no copies);
-  //   2. decode  (parallel): each worker decodes a disjoint server range
-  //               into its own slot, capturing errors instead of throwing;
-  //   3. reduce  (sequential, server order): re-ingest flows via the
-  //               senders' logs — record_flow() regenerates the receiver-
-  //               side entries and the unified view — record gaps, and
-  //               rethrow the lowest-server-index error, which is exactly
-  //               the one a serial decode would have surfaced first.
-  struct Segment {
-    std::span<const std::uint8_t> payload;
-    bool missing = false;  // payload physically ended before this segment
-    bool cut = false;      // the segment itself was cut short
-  };
-  std::vector<Segment> segments(static_cast<std::size_t>(servers));
+  // One pass per server: read the segment's length, decode it, ingest it,
+  // so only one server's decoded log is held at a time.  Errors surface in
+  // server order: an earlier server's decode or record_flow error comes
+  // before a later server's framing error.
   const bool salvage = options.tolerate_truncation;
   bool payload_cut = false;  // payload physically ended inside this section
-  std::exception_ptr slice_error;  // strict mode: broken length framing
   for (std::int32_t s = 0; s < servers; ++s) {
-    Segment& seg = segments[static_cast<std::size_t>(s)];
     if (payload_cut) {
-      seg.missing = true;
-      continue;
-    }
-    if (salvage) {
-      try {
-        const std::uint64_t len = r.uvarint();
-        const std::uint64_t take = std::min<std::uint64_t>(len, r.remaining());
-        payload_cut = take < len;
-        seg.cut = payload_cut;
-        seg.payload = data.subspan(r.position(), static_cast<std::size_t>(take));
-        r.skip(static_cast<std::size_t>(take));
-      } catch (const Error&) {
-        // Cut mid-length-prefix: nothing of this segment survives.
-        payload_cut = true;
-        seg.cut = true;
-      }
-    } else {
-      try {
-        const std::uint64_t len = r.uvarint();
-        require(len <= r.remaining(), "decode_trace: truncated server log");
-        seg.payload = data.subspan(r.position(), static_cast<std::size_t>(len));
-        r.skip(static_cast<std::size_t>(len));
-      } catch (const Error&) {
-        // Hold the framing error until the reduce: a corrupt earlier
-        // segment must surface its own error first, as a sequential decode
-        // (which never reaches this framing) would.
-        slice_error = std::current_exception();
-        for (std::int32_t t = s; t < servers; ++t) {
-          segments[static_cast<std::size_t>(t)].missing = true;
-        }
-        break;
-      }
-    }
-  }
-
-  struct Decoded {
-    ServerLog log;
-    bool complete = true;
-    std::exception_ptr error;
-  };
-  std::vector<Decoded> decoded(static_cast<std::size_t>(servers));
-  const auto decode_shards =
-      shard_ranges(static_cast<std::size_t>(servers), kDecodeShardGrain);
-  parallel_for_shards(options.pool, decode_shards.size(), [&](std::size_t shard) {
-    for (std::size_t s = decode_shards[shard].begin; s < decode_shards[shard].end;
-         ++s) {
-      const Segment& seg = segments[s];
-      if (seg.missing) continue;
-      Decoded& d = decoded[s];
-      try {
-        if (salvage) {
-          try {
-            d.complete = decode_server_log_salvage(seg.payload, d.log);
-          } catch (const Error&) {
-            // Structural errors inside an intact length-framed segment are
-            // corruption and propagate; a segment the payload physically
-            // cut short is just more truncation.
-            if (!seg.cut) throw;
-            d.log.flows.clear();
-            d.complete = false;
-          }
-        } else {
-          d.log = decode_server_log(seg.payload);
-        }
-      } catch (...) {
-        d.error = std::current_exception();
-      }
-    }
-  });
-
-  for (std::int32_t s = 0; s < servers; ++s) {
-    const Segment& seg = segments[static_cast<std::size_t>(s)];
-    Decoded& d = decoded[static_cast<std::size_t>(s)];
-    if (seg.missing) {
-      if (!salvage) std::rethrow_exception(slice_error);
       // Everything from this server on is gone; coverage records the loss.
       trace.record_gap({ServerId{s}, 0.0, duration, GapCause::kDecodeTruncation});
       continue;
     }
-    if (d.error != nullptr) std::rethrow_exception(d.error);
+    ServerLog log;
+    bool complete = true;
+    if (salvage) {
+      std::span<const std::uint8_t> payload;
+      try {
+        const std::uint64_t len = r.uvarint();
+        const std::uint64_t take = std::min<std::uint64_t>(len, r.remaining());
+        payload_cut = take < len;
+        payload = data.subspan(r.position(), static_cast<std::size_t>(take));
+        r.skip(static_cast<std::size_t>(take));
+      } catch (const Error&) {
+        // Cut mid-length-prefix: nothing of this segment survives.
+        payload_cut = true;
+      }
+      try {
+        complete = decode_server_log_salvage(payload, log);
+      } catch (const Error&) {
+        // Structural errors inside an intact length-framed segment are
+        // corruption and propagate; a segment the payload physically cut
+        // short is just more truncation.
+        if (!payload_cut) throw;
+        log.flows.clear();
+        complete = false;
+      }
+    } else {
+      const std::uint64_t len = r.uvarint();
+      require(len <= r.remaining(), "decode_trace: truncated server log");
+      log = decode_server_log(data.subspan(r.position(), static_cast<std::size_t>(len)));
+      r.skip(static_cast<std::size_t>(len));
+    }
     TimeSec salvaged_until = 0;
-    for (const SocketFlowLog& f : d.log.flows) {
+    for (const SocketFlowLog& f : log.flows) {
       salvaged_until = std::max(salvaged_until, f.end);
       if (f.direction != SocketDirection::kSend) continue;
       FlowRecord rec;
@@ -505,7 +435,7 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data,
       rec.kind = f.kind;
       trace.record_flow(rec);
     }
-    if (!d.complete) {
+    if (!complete) {
       // Logs finalize in end-time order, so everything after the salvaged
       // prefix ended at or after the last decoded record.
       trace.record_gap(

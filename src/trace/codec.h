@@ -19,8 +19,6 @@
 
 namespace dct {
 
-class ThreadPool;  // parallel/thread_pool.h
-
 /// Append-only byte buffer with varint primitives.
 class ByteWriter {
  public:
@@ -104,13 +102,6 @@ struct DecodeOptions {
   /// exception.  Structural corruption (bad magic/version, malformed
   /// varints) still throws.
   bool tolerate_truncation = false;
-  /// Decodes the per-server segments on this pool (parallel/thread_pool.h),
-  /// each worker handling a disjoint server range; the decoded logs are
-  /// then reduced into the trace in server order on the calling thread, so
-  /// the result — including every gap/salvage decision and which error
-  /// surfaces on corrupt input — is byte-identical to the serial decode at
-  /// any thread count.  nullptr (the default) decodes serially.
-  ThreadPool* pool = nullptr;
 };
 
 /// decode_trace with hardening options.  With default options this is

@@ -156,6 +156,10 @@ TelemetryFaultSchedule generate_telemetry_schedule(
 
   // SNMP poll timeouts: one substream per switch, one draw per poll.
   if (config.snmp_timeout_prob > 0) {
+    // The poll count is cast to size_t; an out-of-range cast is undefined.
+    require(horizon / config.snmp_poll_interval < 0x1p63,
+            "generate_telemetry_schedule: horizon / snmp_poll_interval overflows "
+            "the poll count");
     const auto last_poll = static_cast<std::size_t>(
         std::ceil(horizon / config.snmp_poll_interval));
     const auto draw_switch = [&](DeviceKind device, std::int32_t entity,

@@ -18,6 +18,9 @@ SnmpCounters SnmpCounters::collect(const FlowSim& sim, const Topology& topo,
   out.width_ = counter_width;
   out.modulus_ = counter_width == 0 ? 0.0 : std::ldexp(1.0, counter_width);
   const TimeSec horizon = sim.config().end_time;
+  // The poll count is cast to size_t; an out-of-range cast is undefined.
+  require(horizon / poll_interval < 0x1p63,
+          "SnmpCounters: horizon / poll_interval overflows the poll count");
   out.polls_ = static_cast<std::size_t>(std::ceil(horizon / poll_interval)) + 1;
 
   const auto links = static_cast<std::size_t>(topo.link_count());

@@ -49,7 +49,7 @@ struct RepairConfig {
   /// Per-server caps on concurrent repair flows sourced from / sent to it.
   /// These, not the global ceiling, protect individual access links: repair
   /// sources and destinations are spread across the cluster, so wide global
-  /// parallelism is fine as long as no single NIC serves several repairs
+  /// concurrency is fine as long as no single NIC serves several repairs
   /// while foreground traffic fights for it.
   std::int32_t per_source_cap = 1;
   std::int32_t per_dest_cap = 2;

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/require.h"
 #include "common/rng.h"
 
@@ -499,9 +500,32 @@ TEST(CodecSalvage, TolerantTraceDecodeRecordsDecodeTruncationGaps) {
   EXPECT_GT(with_gaps, 0u) << "salvage never recorded a coverage gap";
 }
 
+// Decodes `bytes` and folds the outcome into `fp`: the re-encoded trace on
+// success, the error message on failure.  require() prefixes the message
+// with file, line and function, so only the text after the last "): " is
+// folded.  Returns whether the decode succeeded.
+bool fold_decode_outcome(Fingerprint& fp, const std::vector<std::uint8_t>& bytes,
+                         const DecodeOptions& options) {
+  try {
+    const ClusterTrace back = decode_trace(bytes, options);
+    EXPECT_GE(back.server_count(), 1);
+    const auto again = encode_trace(back);
+    fp.u64(1).str({reinterpret_cast<const char*>(again.data()), again.size()});
+    return true;
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    const auto at = what.rfind("): ");
+    fp.u64(0).str(at == std::string::npos ? what : what.substr(at + 3));
+    return false;
+  }
+}
+
 TEST(CodecCorruption, RandomBitFlipsNeverCrash) {
   const auto encoded = encode_trace(corruption_target());
   Rng rng(77);
+  DecodeOptions tolerant;
+  tolerant.tolerate_truncation = true;
+  Fingerprint strict_fp, tolerant_fp;
   int rejected = 0, survived = 0;
   for (int trial = 0; trial < 400; ++trial) {
     auto copy = encoded;
@@ -515,16 +539,19 @@ TEST(CodecCorruption, RandomBitFlipsNeverCrash) {
     // The only acceptable outcomes are a clean decode error or a decode
     // that happens to still parse; anything else (UB, crash, unbounded
     // allocation, a foreign exception) fails the test.
-    try {
-      const ClusterTrace back = decode_trace(copy);
-      EXPECT_GE(back.server_count(), 1);
+    if (fold_decode_outcome(strict_fp, copy, DecodeOptions{})) {
       ++survived;
-    } catch (const Error&) {
+    } else {
       ++rejected;
     }
+    (void)fold_decode_outcome(tolerant_fp, copy, tolerant);
   }
   EXPECT_EQ(rejected + survived, 400);
   EXPECT_GT(rejected, 0) << "bit flips should usually be detected";
+  // Which error each trial surfaces, and every byte a surviving decode
+  // yields, are pinned: a decoder rewrite must keep both.
+  EXPECT_EQ(strict_fp.value(), 0x229e10a4ba081992ULL);
+  EXPECT_EQ(tolerant_fp.value(), 0x2342872c2ec777e3ULL);
 }
 
 }  // namespace

@@ -178,8 +178,8 @@ TEST(HotLinkAttribution, JoinsFlowsWithPhaseKinds) {
 TEST(LinkUtilizationMap, RangeChecks) {
   Topology topo(topo_config());
   auto util = zero_util(topo, 5);
-  EXPECT_THROW(util.of(LinkId{}), Error);
-  EXPECT_THROW(util.of(LinkId{99999}), Error);
+  EXPECT_THROW((void)util.of(LinkId{}), Error);
+  EXPECT_THROW((void)util.of(LinkId{99999}), Error);
   EXPECT_THROW(utilization_from_trace(ClusterTrace(4, 1.0), topo, 0.0), Error);
 }
 

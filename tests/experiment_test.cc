@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/congestion.h"
 #include "analysis/flowstats.h"
 #include "analysis/traffic_matrix.h"
 #include "common/require.h"
+#include "trace/snmp.h"
 
 namespace dct {
 namespace {
@@ -33,9 +35,25 @@ TEST(ClusterExperiment, EndToEndTinyRun) {
   EXPECT_EQ(&util, &exp.utilization());
 }
 
+// Window, bin and poll counts are float-to-size_t casts: a width too small
+// to count must be an error, never an out-of-range cast.
+TEST(ClusterExperiment, WidthsTooSmallToCountAreErrors) {
+  ClusterExperiment exp(scenarios::tiny(10.0));
+  exp.run();
+  const ClusterTrace& trace = exp.trace();
+  const Topology& topo = exp.topology();
+  EXPECT_THROW((void)build_tm_series(trace, topo, 1e-300, TmScope::kServer), Error);
+  EXPECT_THROW((void)build_tm_series_gap_aware(trace, topo, 1e-300, TmScope::kToR),
+               Error);
+  EXPECT_THROW((void)aggregate_rate_series(trace, 1e-300), Error);
+  EXPECT_THROW((void)aggregate_rate_series(trace, 0.0), Error);
+  EXPECT_THROW((void)utilization_from_trace(trace, topo, 1e-300), Error);
+  EXPECT_THROW((void)SnmpCounters::collect(exp.sim(), topo, 1e-300), Error);
+}
+
 TEST(ClusterExperiment, UtilizationBeforeRunThrows) {
   ClusterExperiment exp(scenarios::tiny(30.0));
-  EXPECT_THROW(exp.utilization(), Error);
+  EXPECT_THROW((void)exp.utilization(), Error);
 }
 
 TEST(ClusterExperiment, RunIsIdempotent) {

@@ -165,8 +165,8 @@ TEST(Periodicity, RejectsBadLagRange) {
   Topology topo(topo_config());
   ClusterTrace trace(topo.server_count(), 10.0);
   const auto stats = inter_arrival_stats(trace, topo, ArrivalScope::kCluster);
-  EXPECT_THROW(inter_arrival_periodicity(stats, 50.0, 5.0, 60.0), Error);
-  EXPECT_THROW(inter_arrival_periodicity(stats, 120.0, 30.0, 10.0), Error);
+  EXPECT_THROW((void)inter_arrival_periodicity(stats, 50.0, 5.0, 60.0), Error);
+  EXPECT_THROW((void)inter_arrival_periodicity(stats, 120.0, 30.0, 10.0), Error);
 }
 
 }  // namespace

@@ -8,10 +8,16 @@
 // precise values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <tuple>
+#include <vector>
+
 #include "analysis/congestion.h"
 #include "analysis/flowstats.h"
 #include "analysis/traffic_matrix.h"
 #include "common/fnv.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "core/experiment.h"
 #include "trace/codec.h"
@@ -131,6 +137,176 @@ TEST(GoldenBytes, FaultStormTraceIsPinned) {
 
 TEST(GoldenBytes, GrayFailureTraceIsPinned) {
   EXPECT_EQ(trace_digest(scenarios::gray_failure(60.0, 42)), 0x12bf2db9b6621e46ULL);
+}
+
+// Analysis and decode pins: FNV-1a of each stage's output on fixed inputs.
+// The stages keep fixed chunked reductions (docs/PERFORMANCE.md), so a
+// rewrite that changes a chunk size, the merge order or the order in which
+// cells enter a matrix moves these digests even where the shape checks
+// above still pass.  TM cells fold in (from, to) order; tm_change_series
+// also reads the matrices' iteration order.  Re-pin only on purpose.
+void fold_tm(Fingerprint& fp, const SparseTm& tm) {
+  auto cells = tm.entries();
+  std::sort(cells.begin(), cells.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.from, a.to) < std::tie(b.from, b.to);
+  });
+  fp.u64(tm.size()).u64(cells.size()).f64(tm.total());
+  for (const auto& c : cells) fp.u64(c.from).u64(c.to).f64(c.bytes);
+}
+
+std::uint64_t tm_series_digest(const std::vector<SparseTm>& tms) {
+  Fingerprint fp;
+  fp.u64(tms.size());
+  for (const SparseTm& tm : tms) fold_tm(fp, tm);
+  for (const double c : tm_change_series(tms)) fp.f64(c);
+  return fp.value();
+}
+
+void fold_bins(Fingerprint& fp, const BinnedSeries& s) {
+  fp.f64(s.start_time()).f64(s.bin_width()).u64(s.bin_count());
+  for (const double v : s.values()) fp.f64(v);
+}
+
+std::uint64_t utilization_digest(const LinkUtilizationMap& util) {
+  Fingerprint fp;
+  fp.f64(util.bin_width).u64(util.per_link.size());
+  for (const BinnedSeries& s : util.per_link) fold_bins(fp, s);
+  return fp.value();
+}
+
+void fold_cdf(Fingerprint& fp, const Cdf& cdf) {
+  fp.u64(cdf.sample_count());
+  if (cdf.empty()) return;
+  for (int i = 0; i <= 100; ++i) fp.f64(cdf.quantile(i / 100.0));
+}
+
+TEST(GoldenAnalysis, TmSeriesArePinned) {
+  auto& exp = golden().exp;
+  ASSERT_EQ(exp.trace().flow_count(), 51'759u);  // 7 chunks of 8,192 flows
+  const auto digest = [&](TimeSec window, TmScope scope) {
+    return tm_series_digest(build_tm_series(exp.trace(), exp.topology(), window, scope));
+  };
+  EXPECT_EQ(digest(1.0, TmScope::kServer), 0x19b84bbc2edbebfbULL);
+  EXPECT_EQ(digest(10.0, TmScope::kServer), 0x9b170ae97bbe349fULL);
+  EXPECT_EQ(digest(10.0, TmScope::kToR), 0xd02f70b076422125ULL);
+}
+
+TEST(GoldenAnalysis, SingleWindowTmIsPinned) {
+  auto& exp = golden().exp;
+  Fingerprint fp;
+  // The whole run, so that every flow chunk adds into the matrix.
+  fold_tm(fp, build_tm(exp.trace(), exp.topology(), 0.0, 300.0, TmScope::kServer));
+  EXPECT_EQ(fp.value(), 0x5dcc5ca28ffc63f3ULL);
+}
+
+TEST(GoldenAnalysis, UtilizationAndCongestionArePinned) {
+  auto& exp = golden().exp;
+  const auto util = utilization_from_trace(exp.trace(), exp.topology(), 1.0);
+  EXPECT_EQ(utilization_digest(util), 0x2959368eb3888bf7ULL);
+
+  const auto r = congestion_report(util, exp.topology(), 0.7);
+  Fingerprint fp;
+  fp.f64(r.threshold).f64(r.frac_links_hot_10s).f64(r.frac_links_hot_100s);
+  fp.u64(r.episodes_over_1s).u64(r.episodes_over_10s).f64(r.longest_episode);
+  fp.u64(r.episode_durations.size());
+  for (const double d : r.episode_durations) fp.f64(d);
+  fold_bins(fp, r.hot_links_over_time);
+  fp.u64(r.inter_switch.size());
+  for (const LinkCongestion& lc : r.inter_switch) {
+    fp.u64(lc.link.value()).u64(static_cast<std::uint8_t>(lc.kind));
+    fp.u64(lc.episodes.size());
+    for (const ThresholdEpisode& e : lc.episodes) {
+      fp.f64(e.start).f64(e.end).f64(e.peak).f64(e.mean).u64(e.bins);
+    }
+  }
+  EXPECT_EQ(fp.value(), 0x4e08487afe1f3a71ULL);
+}
+
+TEST(GoldenAnalysis, FlowStatsArePinned) {
+  auto& exp = golden().exp;
+  Fingerprint fp;
+  const auto dur = flow_duration_stats(exp.trace());
+  fold_cdf(fp, dur.by_count);
+  fold_cdf(fp, dur.by_bytes);
+  fp.f64(dur.frac_flows_under_10s).f64(dur.frac_flows_over_200s);
+  fp.f64(dur.median_bytes_duration);
+  const auto size = flow_size_stats(exp.trace());
+  fold_cdf(fp, size.bytes);
+  fp.f64(size.p50).f64(size.p99).f64(size.max);
+  for (const auto scope :
+       {ArrivalScope::kCluster, ArrivalScope::kServer, ArrivalScope::kToR}) {
+    const auto ia = inter_arrival_stats(exp.trace(), exp.topology(), scope);
+    fold_cdf(fp, ia.inter_arrival_ms);
+    fp.f64(ia.median_ms).f64(ia.p99_ms).f64(ia.max_ms).f64(ia.median_rate_per_s);
+  }
+  EXPECT_EQ(fp.value(), 0x924888d9c7c99749ULL);
+}
+
+TEST(GoldenAnalysis, DecodeIsPinned) {
+  auto& exp = golden().exp;
+  EXPECT_EQ(fnv1a(kFnvOffset, encode_trace(decode_trace(encode_trace(exp.trace())))),
+            0x052176bbb5aba432ULL);
+}
+
+// An observed trace whose lost records sit on more than one 16-server chunk
+// of the gap-aware ledger settle.
+struct LossyRun {
+  LossyRun() : exp(scenarios::lossy_telemetry(60.0, 42)) { exp.run(); }
+  ClusterExperiment exp;
+};
+
+LossyRun& lossy() {
+  static LossyRun run;
+  return run;
+}
+
+TEST(GoldenAnalysis, GapAwareTmIsPinned) {
+  auto& exp = lossy().exp;
+  const ClusterTrace& observed = exp.observed_trace();
+  std::set<std::int32_t> lossy_servers;
+  for (const GapRecord& g : observed.gaps()) {
+    if (g.records_lost > 0) lossy_servers.insert(g.server.value());
+  }
+  ASSERT_GT(lossy_servers.size(), 16u);
+  const auto digest = [&](TimeSec window, TmScope scope) {
+    return tm_series_digest(
+        build_tm_series_gap_aware(observed, exp.topology(), window, scope));
+  };
+  EXPECT_EQ(digest(5.0, TmScope::kServer), 0xdf995988cd930b65ULL);
+  EXPECT_EQ(digest(10.0, TmScope::kToR), 0xa99459a4c77bd33bULL);
+}
+
+TEST(GoldenAnalysis, TolerantDecodeOfCutTraceIsPinned) {
+  auto encoded = encode_trace(lossy().exp.observed_trace());
+  encoded.resize(encoded.size() * 3 / 4);
+  DecodeOptions tolerant;
+  tolerant.tolerate_truncation = true;
+  EXPECT_EQ(fnv1a(kFnvOffset, encode_trace(decode_trace(encoded, tolerant))),
+            0x3ff2586b1b4393f1ULL);
+}
+
+// 140,000 synthetic flows over tiny's topology: the only input here larger
+// than one 131,072-flow utilization deposit chunk.
+TEST(GoldenAnalysis, ChunkedUtilizationIsPinned) {
+  const Topology topo(scenarios::tiny().topology);
+  ClusterTrace trace(topo.server_count(), 60.0);
+  Rng rng(140'000);
+  const std::int64_t last = topo.server_count() - 1;
+  for (std::int32_t i = 0; i < 140'000; ++i) {
+    FlowRecord r;
+    r.id = FlowId{i};
+    r.src = ServerId{static_cast<std::int32_t>(rng.uniform_int(0, last))};
+    r.dst = ServerId{static_cast<std::int32_t>(rng.uniform_int(0, last - 1))};
+    if (r.dst.value() >= r.src.value()) r.dst = ServerId{r.dst.value() + 1};
+    r.bytes_requested = rng.uniform_int(1, 2'000'000);
+    r.bytes_sent = r.bytes_requested;
+    r.start = rng.uniform(0.0, 55.0);
+    r.end = r.start + rng.uniform(0.0, 5.0);
+    trace.record_flow(r);
+  }
+  ASSERT_EQ(trace.flow_count(), 140'000u);
+  EXPECT_EQ(utilization_digest(utilization_from_trace(trace, topo, 1.0)),
+            0xffdc73237299f4b7ULL);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // golden output, and — the property everything else leans on — that two
 // identical seeded runs produce identical counter/gauge values while the
 // instrumentation itself never perturbs the simulation.
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -190,6 +193,31 @@ TEST(Manifest, CsvFlattensMetrics) {
   const std::string csv = m.to_csv();
   EXPECT_NE(csv.find("metric,kind,unit,value,count,sum,mean,max"), std::string::npos);
   EXPECT_NE(csv.find("a.c,counter,ops,3,"), std::string::npos);
+}
+
+// Regression for torn manifest files: writes go to a temp file and rename.
+TEST(ManifestWriteTest, AtomicWriteLeavesNoTempFile) {
+  ClusterExperiment exp(scenarios::tiny(10.0));
+  exp.run();
+  const auto dir = std::filesystem::temp_directory_path() / "dct_manifest_write_test";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "manifest.json").string();
+
+  const auto m = exp.manifest("obs_test");
+  EXPECT_EQ(m.write_json(path), path);
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
+      << "temp file must be renamed away";
+
+  // Overwriting an existing manifest also goes through the temp + rename.
+  EXPECT_EQ(m.write_json(path), path);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  std::ifstream in(path, std::ios::binary);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_EQ(content, m.to_json()) << "written file holds the complete JSON";
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Experiment, IdenticalSeededRunsYieldIdenticalScalars) {

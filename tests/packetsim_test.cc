@@ -100,13 +100,13 @@ TEST(IncastSim, HorizonStopsRunaways) {
 TEST(IncastSim, ValidatesConfig) {
   IncastConfig c = cfg();
   c.queue_packets = 0;
-  EXPECT_THROW(run_incast(c, 2, 1000), Error);
+  EXPECT_THROW((void)run_incast(c, 2, 1000), Error);
   c = cfg();
   c.min_rto = c.base_rtt / 2;
-  EXPECT_THROW(run_incast(c, 2, 1000), Error);
-  EXPECT_THROW(run_incast(cfg(), 0, 1000), Error);
-  EXPECT_THROW(run_incast(cfg(), 2, 0), Error);
-  EXPECT_THROW(run_incast_capped(cfg(), 2, 1000, 0), Error);
+  EXPECT_THROW((void)run_incast(c, 2, 1000), Error);
+  EXPECT_THROW((void)run_incast(cfg(), 0, 1000), Error);
+  EXPECT_THROW((void)run_incast(cfg(), 2, 0), Error);
+  EXPECT_THROW((void)run_incast_capped(cfg(), 2, 1000, 0), Error);
 }
 
 }  // namespace

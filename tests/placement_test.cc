@@ -107,7 +107,7 @@ TEST(Placer, RejectsExternalHome) {
   Topology topo(topo_config());
   ServerResources res(topo, 1);
   Placer placer(topo, res, Rng(6));
-  EXPECT_THROW(placer.place_near(ServerId{16}), Error);  // external id
+  EXPECT_THROW((void)placer.place_near(ServerId{16}), Error);  // external id
 }
 
 }  // namespace

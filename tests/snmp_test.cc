@@ -70,7 +70,7 @@ TEST(SnmpCounters, BytesBetweenSnapsToPollGrid) {
   EXPECT_NEAR(snmp.bytes_between(up, 5.0, 10.0), 250e6, 1e3);
   EXPECT_NEAR(snmp.bytes_between(up, 0.0, 5.0), 0.0, 1e3);
   EXPECT_NEAR(snmp.bytes_between(up, 10.0, 20.0), 0.0, 1e3);
-  EXPECT_THROW(snmp.bytes_between(up, 5.0, 1.0), Error);
+  EXPECT_THROW((void)snmp.bytes_between(up, 5.0, 1.0), Error);
 }
 
 TEST(SnmpCounters, UtilizationNormalizesByPollWindow) {

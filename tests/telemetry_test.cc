@@ -197,7 +197,9 @@ TEST(TelemetrySchedule, PeriodicCollectionShipsChunksOnAStaggeredGrid) {
     for (std::size_t i = 0; i < mine.size(); ++i) {
       EXPECT_LE(mine[i]->end - mine[i]->start, 10.0 + 1e-12);
       EXPECT_EQ(mine[i]->cause, GapCause::kUploadLost);
-      if (i > 0) EXPECT_DOUBLE_EQ(mine[i]->start, mine[i - 1]->end);
+      if (i > 0) {
+        EXPECT_DOUBLE_EQ(mine[i]->start, mine[i - 1]->end);
+      }
     }
   }
   // One upload plan per chunk, with explicit chunk bounds.

@@ -120,8 +120,6 @@ void list_catalogue() {
   std::cout << "oracles (src/testing/oracles.cc):\n"
             << "  oracle.determinism\n      same seed twice: byte-identical "
                "traces, schedules, manifests\n"
-            << "  oracle.parallel\n      serial vs pooled analysis: "
-               "bit-identity\n"
             << "  oracle.checkpoint\n      plain vs checkpointed vs "
                "resume-of-completed: bit-identity\n"
             << "  oracle.telemetry\n      lossless vs lossy plane: gap-aware "
@@ -152,7 +150,6 @@ struct EvalOptions {
   bool with_checkpoint = false;
   bool with_incast = false;
   std::string workdir;
-  int parallel_threads = 3;
 };
 
 testing::InvariantReport evaluate_scenario(const ScenarioConfig& cfg,
@@ -174,7 +171,6 @@ testing::InvariantReport evaluate_scenario(const ScenarioConfig& cfg,
   const auto inv = testing::InvariantRegistry::builtin().check_all(run);
   report.violations.insert(report.violations.end(), inv.violations.begin(),
                            inv.violations.end());
-  testing::parallel_oracle(a, eo.parallel_threads, report);
   if (!cfg.telemetry.empty()) testing::telemetry_oracle(a, report);
   if (eo.with_checkpoint) {
     testing::checkpoint_oracle(cfg, eo.workdir, report);
@@ -259,7 +255,6 @@ int fuzz(const Options& opt) {
     eo.with_incast = round == 0;
     eo.workdir =
         (fs::path(opt.out) / ("ckpt_round_" + std::to_string(round))).string();
-    eo.parallel_threads = 2 + static_cast<int>(cfg.seed % 7);
     std::cout << "round " << round + 1 << "/" << opt.rounds << " seed "
               << cfg.seed << " mask 0x" << std::hex << testing::feature_mask(cfg)
               << std::dec << " dur " << cfg.sim.end_time << "s"
