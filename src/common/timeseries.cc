@@ -21,6 +21,32 @@ void BinnedSeries::add_point(double t, double amount) {
   values_[idx] += amount;
 }
 
+namespace {
+
+// Calls fn(bin, overlap) for each of `bins` bins of width `width` from `t0`
+// that [start, end) overlaps, in bin order.  The one copy of the clipping
+// arithmetic behind both add_interval and split_interval.
+template <typename Fn>
+void for_each_overlap(double t0, double width, std::size_t bins, double start, double end,
+                      Fn&& fn) {
+  const double domain_end = t0 + width * static_cast<double>(bins);
+  const double clip_start = std::max(start, t0);
+  const double clip_end = std::min(end, domain_end);
+  if (clip_start >= clip_end) return;
+
+  auto first = static_cast<std::size_t>((clip_start - t0) / width);
+  first = std::min(first, bins - 1);
+  for (std::size_t i = first; i < bins; ++i) {
+    const double bin_lo = t0 + static_cast<double>(i) * width;
+    const double bin_hi = bin_lo + width;
+    if (bin_lo >= clip_end) break;
+    const double overlap = std::min(bin_hi, clip_end) - std::max(bin_lo, clip_start);
+    if (overlap > 0) fn(i, overlap);
+  }
+}
+
+}  // namespace
+
 void BinnedSeries::add_interval(double start, double end, double amount) {
   require(end >= start, "add_interval: end must be >= start");
   if (amount == 0.0) return;
@@ -28,20 +54,27 @@ void BinnedSeries::add_interval(double start, double end, double amount) {
     add_point(start, amount);
     return;
   }
-  const double domain_end = t0_ + width_ * static_cast<double>(values_.size());
-  const double clip_start = std::max(start, t0_);
-  const double clip_end = std::min(end, domain_end);
-  if (clip_start >= clip_end) return;
   const double density = amount / (end - start);
+  for_each_overlap(t0_, width_, values_.size(), start, end,
+                   [&](std::size_t i, double overlap) { values_[i] += density * overlap; });
+}
 
-  auto first = static_cast<std::size_t>((clip_start - t0_) / width_);
-  first = std::min(first, values_.size() - 1);
-  for (std::size_t i = first; i < values_.size(); ++i) {
-    const double bin_lo = t0_ + static_cast<double>(i) * width_;
-    const double bin_hi = bin_lo + width_;
-    if (bin_lo >= clip_end) break;
-    const double overlap = std::min(bin_hi, clip_end) - std::max(bin_lo, clip_start);
-    if (overlap > 0) values_[i] += density * overlap;
+void BinnedSeries::split_interval(double start, double end, IntervalSplit& out) const {
+  require(end > start, "split_interval: end must be > start");
+  out.start = start;
+  out.end = end;
+  out.parts.clear();
+  for_each_overlap(t0_, width_, values_.size(), start, end,
+                   [&](std::size_t i, double overlap) { out.parts.push_back({i, overlap}); });
+}
+
+void BinnedSeries::add_split(const IntervalSplit& split, double amount) {
+  // Bins ascend, so the last one bounds them all.
+  require(split.parts.empty() || split.parts.back().bin < values_.size(),
+          "add_split: bin out of range");
+  const double density = amount / (split.end - split.start);
+  for (const IntervalSplit::Part& part : split.parts) {
+    values_[part.bin] += density * part.overlap;
   }
 }
 

@@ -11,6 +11,18 @@
 
 namespace dct {
 
+/// The bins an interval [start, end) overlaps inside a series' domain, in
+/// bin order, each with the length of its overlap.
+struct IntervalSplit {
+  struct Part {
+    std::size_t bin;
+    double overlap;
+  };
+  double start = 0;
+  double end = 0;
+  std::vector<Part> parts;
+};
+
 /// A time series of doubles over [t0, t0 + bins*width) with fixed bin width.
 class BinnedSeries {
  public:
@@ -21,6 +33,16 @@ class BinnedSeries {
   /// The portion outside the series' domain is dropped.  A zero-length
   /// interval deposits the full amount into the containing bin.
   void add_interval(double start, double end, double amount);
+
+  /// Sets `out` to the split of [start, end) over this series' bins: the
+  /// split by which add_interval spreads an amount.  Requires end > start.
+  void split_interval(double start, double end, IntervalSplit& out) const;
+
+  /// Adds `amount` spread uniformly over `split`'s interval.  With `split`
+  /// made by a series of this shape this is bit-identical to
+  /// add_interval(split.start, split.end, amount), so deposits over one
+  /// interval into many series can share one split.
+  void add_split(const IntervalSplit& split, double amount);
 
   /// Adds `amount` at instant `t` (dropped if outside the domain).
   void add_point(double t, double amount);

@@ -30,6 +30,8 @@ void FlowSimConfig::validate() const {
   // The constructor casts this ratio to a size_t utilization-bin count.
   require(end_time / util_bin_width < 0x1p63,
           "FlowSimConfig: end_time / util_bin_width overflows the bin count");
+  // Written so that NaN fails too: a NaN cap would silently run uncapped.
+  require(per_flow_rate_cap >= 0, "FlowSimConfig: per_flow_rate_cap must be >= 0");
   require(fail_rate_floor >= 0, "FlowSimConfig: fail_rate_floor must be >= 0");
   require(fail_timeout > 0, "FlowSimConfig: fail_timeout must be > 0");
   require(connect_share_floor >= 0, "FlowSimConfig: connect_share_floor must be >= 0");
@@ -219,9 +221,14 @@ void FlowSim::deposit(ActiveFlow& f, TimeSec up_to) {
   if (dt <= 0) return;
   const double moved = std::min(f.remaining, f.rate * dt);
   if (moved > 0) {
+    // Every link series has one shape, and the flows a recompute deposits
+    // nearly all cover [previous recompute, now]: that interval is split
+    // into bins once, not once per flow and link.
+    if (deposit_split_.start != f.last_deposit || deposit_split_.end != up_to) {
+      link_series_.front().split_interval(f.last_deposit, up_to, deposit_split_);
+    }
     for (LinkId l : f.path) {
-      link_series_[static_cast<std::size_t>(l.value())].add_interval(f.last_deposit, up_to,
-                                                                     moved);
+      link_series_[static_cast<std::size_t>(l.value())].add_split(deposit_split_, moved);
     }
     f.remaining -= moved;
   }
@@ -262,13 +269,25 @@ void FlowSim::recompute_rates() {
   }
   // Phase 2: CSR of link -> flows for the freeze step.  csr_count_ keeps the
   // original per-link flow count (link_nflows_ is mutated while freezing).
+  // bind_links_ keeps the links that can set the water level: those whose
+  // fair share is within the freeze tolerance of the cap, or all of them
+  // when there is no cap.  Any other link's share starts above
+  // bind_limit and only rises as flows freeze below the cap, so it never
+  // comes within a freeze level (< cap * (1 + 1e-9) + 1e-12) and skipping
+  // it leaves every freeze, and so every rate, as it was.
+  const double cap = config_.per_flow_rate_cap;
+  const double bind_limit = cap * (1 + 1e-6) + 1e-12;
   csr_count_.resize(link_residual_.size());
+  bind_links_.clear();
   std::size_t total_entries = 0;
   for (std::int32_t l : used_links_) {
     const auto li = static_cast<std::size_t>(l);
     csr_offset_[li] = static_cast<std::int32_t>(total_entries);
     csr_count_[li] = link_nflows_[li];
     total_entries += static_cast<std::size_t>(link_nflows_[li]);
+    if (cap <= 0 || link_residual_[li] <= static_cast<double>(link_nflows_[li]) * bind_limit) {
+      bind_links_.push_back(l);
+    }
   }
   csr_flows_.resize(total_entries);
   {
@@ -297,21 +316,21 @@ void FlowSim::recompute_rates() {
   flow_frozen_.assign(n, 0);
   std::size_t unfrozen = n;
   std::size_t guard = 0;
-  const double cap = config_.per_flow_rate_cap;
   while (unfrozen > 0) {
-    ensure(++guard <= used_links_.size() + 2, "progressive filling failed to converge");
+    ensure(++guard <= bind_links_.size() + 2, "progressive filling failed to converge");
     double min_share = std::numeric_limits<double>::infinity();
-    for (std::int32_t l : used_links_) {
+    for (std::int32_t l : bind_links_) {
       const auto li = static_cast<std::size_t>(l);
       if (link_nflows_[li] <= 0) continue;
       const double share =
           std::max(0.0, link_residual_[li]) / static_cast<double>(link_nflows_[li]);
       min_share = std::min(min_share, share);
     }
-    ensure(std::isfinite(min_share), "no constraining link for unfrozen flows");
     if (cap > 0 && min_share >= cap) {
       // The water level reached the per-flow ceiling: every remaining flow
       // is cap-limited, not link-limited (with a uniform cap this is exact).
+      // Also when no bindable link has an unfrozen flow left (min_share is
+      // infinite): the rest cross only links that cannot bind.
       for (std::size_t i = 0; i < n; ++i) {
         if (!flow_frozen_[i]) {
           flow_frozen_[i] = 1;
@@ -321,8 +340,9 @@ void FlowSim::recompute_rates() {
       unfrozen = 0;
       break;
     }
+    ensure(std::isfinite(min_share), "no constraining link for unfrozen flows");
     const double level = min_share * (1.0 + 1e-9) + 1e-12;
-    for (std::int32_t l : used_links_) {
+    for (std::int32_t l : bind_links_) {
       const auto li = static_cast<std::size_t>(l);
       if (link_nflows_[li] <= 0) continue;
       const double share =

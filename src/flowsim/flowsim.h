@@ -21,9 +21,19 @@
 //     may change many times within `recompute_interval`; rates are refreshed
 //     at most once per interval.  Exact mode (interval 0) recomputes after
 //     every change and is used by the unit tests.
+//   * The fill scans only links that can set the water level.  A link
+//     whose effective capacity exceeds its flow count times
+//     `per_flow_rate_cap` (beyond the freeze tolerance) keeps a share above
+//     the cap however its flows freeze, so it never binds; without a cap
+//     every link can.  Skipping the rest changes no rate.
 //   * Per-link utilization is accounted exactly for the piecewise-constant
 //     rate process: whenever a flow's rate changes, its contribution since
 //     the previous change is deposited into each on-path link's time series.
+//     Each bin sums deposits in flow order, then path order, each a flow's
+//     own bytes over its own interval; that order is pinned
+//     (docs/PERFORMANCE.md).  The flows last deposited by the previous
+//     recompute share one interval, so deposits reuse the last interval's
+//     split into bins and split again only when the interval changes.
 //   * A flow whose allocated rate stays below `fail_rate_floor` for
 //     `fail_timeout` seconds is killed and recorded as failed — the
 //     mechanism by which congestion causes the read failures of §4.2.
@@ -320,6 +330,8 @@ class FlowSim {
   std::vector<std::uint32_t> link_epoch_;
   std::uint32_t fill_epoch_ = 0;
   std::vector<std::int32_t> used_links_;
+  std::vector<std::int32_t> bind_links_;     // used links that can set the water level
+  IntervalSplit deposit_split_;              // the last deposit's interval over the bins
   std::vector<std::int32_t> csr_offset_;
   std::vector<std::int32_t> csr_count_;
   std::vector<std::int32_t> csr_flows_;

@@ -47,7 +47,14 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string quoted(const std::string& s) { return "\"" + json_escape(s) + "\""; }
+// Appends rather than operator+: GCC 12 raises a false -Wrestrict on
+// "\"" + std::string + "\"" in Release builds.
+std::string quoted(const std::string& s) {
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
+  return out;
+}
 
 }  // namespace
 

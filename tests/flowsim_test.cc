@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -110,6 +111,133 @@ TEST(FlowSim, PerFlowRateCapHonored) {
   sim.run();
   ASSERT_EQ(sim.records().size(), 1u);
   EXPECT_NEAR(sim.records().front().duration(), 1.0, 1e-6);
+}
+
+// Four flows leave server 0 over its uplink, so their fair share there is
+// a quarter of its effective capacity.  Each flow's bytes at the 1 s
+// horizon show whether the link or the per-flow cap set its rate.
+Bytes shared_uplink_bytes(BytesPerSec cap, double uplink_factor) {
+  Topology topo(test_topology());
+  FlowSimConfig cfg = exact_config(1.0);
+  cfg.per_flow_rate_cap = cap;
+  FlowSim sim(topo, cfg);
+  sim.set_link_capacity_factor(topo.server_up_link(ServerId{0}), uplink_factor);
+  for (std::int32_t dst = 1; dst <= 4; ++dst) {
+    sim.start_flow(flow(ServerId{0}, ServerId{dst}, Bytes{1} << 50));
+  }
+  sim.run();
+  EXPECT_EQ(sim.records().size(), 4u);
+  for (const FlowRecord& r : sim.records()) {
+    EXPECT_TRUE(r.truncated);
+    EXPECT_EQ(r.bytes_sent, sim.records().front().bytes_sent);
+  }
+  return sim.records().front().bytes_sent;
+}
+
+TEST(FlowSim, CapOrLinkBindsAtTheFairShareBoundary) {
+  // The 125 MB/s uplink's share is 31.25 MB/s; caps half a part per
+  // million either side of it.
+  EXPECT_EQ(shared_uplink_bytes(31.25e6 * (1 + 5e-7), 1.0), 31'250'000);  // link
+  EXPECT_EQ(shared_uplink_bytes(31.25e6 * (1 - 5e-7), 1.0), 31'249'984);  // cap
+  // A degraded link is judged at its effective capacity: 62.5 MB/s over
+  // four flows is below the cap, although 125 MB/s would not be.
+  EXPECT_EQ(shared_uplink_bytes(16e6, 0.5), 15'625'000);
+  EXPECT_EQ(shared_uplink_bytes(0.0, 1.0), 31'250'000);  // uncapped
+}
+
+// Randomized max-min certificate.  In every instance each link carries at
+// most its effective capacity, and each flow either runs at the cap or
+// crosses a saturated link on which no flow runs faster.  The cap is drawn
+// around C/k, the fair share of a loaded link of effective capacity C
+// carrying k flows, so links land on both sides of where they can bind.
+TEST(FlowSim, MaxMinCertificateOnRandomInstances) {
+  Topology topo(test_topology());
+  const auto n_links = static_cast<std::size_t>(topo.link_count());
+  const std::int64_t last_server = topo.server_count() - 1;
+  Rng rng(1807);
+  for (int instance = 0; instance < 300; ++instance) {
+    SCOPED_TRACE(instance);
+    std::vector<ServerId> sources;
+    for (int i = 0; i < 4; ++i) {
+      sources.push_back(ServerId{static_cast<std::int32_t>(rng.uniform_int(0, last_server))});
+    }
+    std::vector<FlowSpec> specs;
+    std::vector<std::vector<LinkId>> paths;
+    std::vector<int> flows_on(n_links, 0);
+    const auto n_flows = rng.uniform_int(1, 40);
+    for (std::int64_t i = 0; i < n_flows; ++i) {
+      const ServerId src = sources[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+      ServerId dst = src;
+      while (dst == src) {
+        dst = ServerId{static_cast<std::int32_t>(rng.uniform_int(0, last_server))};
+      }
+      specs.push_back(flow(src, dst, Bytes{1} << 40));
+      paths.emplace_back();
+      topo.route_into(src, dst, paths.back());
+      for (LinkId l : paths.back()) ++flows_on[static_cast<std::size_t>(l.value())];
+    }
+    std::vector<double> factor(n_links, 1.0);
+    for (double& f : factor) {
+      if (rng.bernoulli(0.1)) f = rng.uniform(0.2, 1.0);
+    }
+    const auto& on_path = paths[static_cast<std::size_t>(rng.uniform_int(0, n_flows - 1))];
+    const LinkId pick = on_path[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(on_path.size()) - 1))];
+    const double share = topo.link(pick).capacity *
+                         factor[static_cast<std::size_t>(pick.value())] /
+                         flows_on[static_cast<std::size_t>(pick.value())];
+    FlowSimConfig cfg = exact_config(1.0);
+    cfg.fail_rate_floor = 0.0;
+    switch (rng.uniform_int(0, 2)) {
+      case 0: cfg.per_flow_rate_cap = 0.0; break;
+      case 1: cfg.per_flow_rate_cap = share * (1 + 1e-7); break;
+      default: cfg.per_flow_rate_cap = share * rng.uniform(0.5, 2.0); break;
+    }
+
+    FlowSim sim(topo, cfg);
+    for (std::size_t l = 0; l < n_links; ++l) {
+      sim.set_link_capacity_factor(LinkId{static_cast<std::int32_t>(l)}, factor[l]);
+    }
+    for (const FlowSpec& fs : specs) sim.start_flow(fs);
+    sim.run();
+    ASSERT_EQ(sim.records().size(), specs.size());
+    // Over the 1 s horizon a rate is the bytes sent, rounded to whole bytes.
+    // At 2^40 bytes, `remaining` itself rounds to well under a byte.
+    std::vector<double> rate(specs.size());
+    for (const FlowRecord& r : sim.records()) {
+      rate[static_cast<std::size_t>(r.id.value())] = static_cast<double>(r.bytes_sent);
+    }
+    std::vector<double> load(n_links, 0.0);
+    std::vector<double> fastest(n_links, 0.0);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      for (LinkId l : paths[i]) {
+        const auto li = static_cast<std::size_t>(l.value());
+        load[li] += rate[i];
+        fastest[li] = std::max(fastest[li], rate[i]);
+      }
+    }
+    // Rounding moves each rate by up to half a byte; the fill's freeze
+    // tolerance leaves a saturated link up to ~1e-9 of capacity unused.
+    const auto effective = [&](std::size_t l) {
+      return topo.link(LinkId{static_cast<std::int32_t>(l)}).capacity * factor[l];
+    };
+    for (std::size_t l = 0; l < n_links; ++l) {
+      EXPECT_LE(load[l], effective(l) + 0.5 * flows_on[l] + 1e-3) << "link " << l;
+    }
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const double cap = cfg.per_flow_rate_cap;
+      if (cap > 0 && std::abs(rate[i] - cap) <= 0.5 + 1e-3) continue;
+      bool bottlenecked = false;
+      for (LinkId l : paths[i]) {
+        const auto li = static_cast<std::size_t>(l.value());
+        const bool saturated =
+            load[li] >= effective(li) * (1 - 1e-8) - 0.5 * flows_on[li] - 1e-3;
+        if (saturated && rate[i] >= fastest[li] - 1.0) bottlenecked = true;
+      }
+      EXPECT_TRUE(bottlenecked) << "flow " << i << " at " << rate[i] << " B/s, cap "
+                                << cap;
+    }
+  }
 }
 
 TEST(FlowSim, UtilizationConservesBytes) {
@@ -344,6 +472,11 @@ TEST(FlowSim, RejectsMisuse) {
   EXPECT_THROW(FlowSim(topo, cfg), Error);
   cfg.end_time = 1e300;  // finite, but its bin count overflows size_t
   EXPECT_THROW(FlowSim(topo, cfg), Error);
+  cfg = exact_config();
+  for (const double cap : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.per_flow_rate_cap = cap;  // a NaN cap would run uncapped
+    EXPECT_THROW(FlowSim(topo, cfg), Error) << cap;
+  }
 }
 
 TEST(FlowSim, RejectsNonFiniteHorizon) {

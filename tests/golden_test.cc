@@ -115,28 +115,47 @@ TEST(Golden, WorkSeeksBandwidthHoldsRelativeToRandom) {
   EXPECT_GT(lb.frac_same_rack, 0.15);
 }
 
+void fold_bins(Fingerprint& fp, const BinnedSeries& s) {
+  fp.f64(s.start_time()).f64(s.bin_width()).u64(s.bin_count());
+  for (const double v : s.values()) fp.f64(v);
+}
+
+std::uint64_t utilization_digest(const LinkUtilizationMap& util) {
+  Fingerprint fp;
+  fp.f64(util.bin_width).u64(util.per_link.size());
+  for (const BinnedSeries& s : util.per_link) fold_bins(fp, s);
+  return fp.value();
+}
+
 // Byte pins: FNV-1a of the encoded trace of three seeded scenarios, one
 // fault-free, one with device failures (reroutes and kills) and one with
-// link-capacity overlays.  The shape checks above tolerate small drift;
-// these do not.  A change to event order or to the fluid arithmetic moves
-// them, so a speed-up that claims identical output must leave them alone.
-// Re-pin only on purpose, and say why in the commit.
-std::uint64_t trace_digest(const ScenarioConfig& cfg) {
+// link-capacity overlays, and of the simulator's own per-link byte series,
+// which exp.utilization() and the SNMP counters read.  The shape checks
+// above tolerate small drift; these do not.  A change to event order or to
+// the fluid arithmetic moves them, so a speed-up that claims identical
+// output must leave them alone.  Every link bin sums deposits in flow
+// order, then path order, so a deposit rewrite that leaves the trace alone
+// can still move the link series.  Re-pin only on purpose, and say why in
+// the commit.
+void expect_pinned(const ScenarioConfig& cfg, std::uint64_t trace, std::uint64_t links) {
   ClusterExperiment exp(cfg);
   exp.run();
-  return fnv1a(kFnvOffset, encode_trace(exp.trace()));
+  EXPECT_EQ(fnv1a(kFnvOffset, encode_trace(exp.trace())), trace);
+  EXPECT_EQ(utilization_digest(exp.utilization()), links);
 }
 
 TEST(GoldenBytes, TinyTraceIsPinned) {
-  EXPECT_EQ(trace_digest(scenarios::tiny(60.0, 42)), 0x10863e4f3b5b8195ULL);
+  expect_pinned(scenarios::tiny(60.0, 42), 0x10863e4f3b5b8195ULL, 0xd0064595a00ef5b5ULL);
 }
 
 TEST(GoldenBytes, FaultStormTraceIsPinned) {
-  EXPECT_EQ(trace_digest(scenarios::fault_storm(120.0, 42)), 0x2f7887acf0c04667ULL);
+  expect_pinned(scenarios::fault_storm(120.0, 42), 0x2f7887acf0c04667ULL,
+                0x6031f8621489b9f8ULL);
 }
 
 TEST(GoldenBytes, GrayFailureTraceIsPinned) {
-  EXPECT_EQ(trace_digest(scenarios::gray_failure(60.0, 42)), 0x12bf2db9b6621e46ULL);
+  expect_pinned(scenarios::gray_failure(60.0, 42), 0x12bf2db9b6621e46ULL,
+                0xb2396a2606538b5fULL);
 }
 
 // Analysis and decode pins: FNV-1a of each stage's output on fixed inputs.
@@ -159,18 +178,6 @@ std::uint64_t tm_series_digest(const std::vector<SparseTm>& tms) {
   fp.u64(tms.size());
   for (const SparseTm& tm : tms) fold_tm(fp, tm);
   for (const double c : tm_change_series(tms)) fp.f64(c);
-  return fp.value();
-}
-
-void fold_bins(Fingerprint& fp, const BinnedSeries& s) {
-  fp.f64(s.start_time()).f64(s.bin_width()).u64(s.bin_count());
-  for (const double v : s.values()) fp.f64(v);
-}
-
-std::uint64_t utilization_digest(const LinkUtilizationMap& util) {
-  Fingerprint fp;
-  fp.f64(util.bin_width).u64(util.per_link.size());
-  for (const BinnedSeries& s : util.per_link) fold_bins(fp, s);
   return fp.value();
 }
 

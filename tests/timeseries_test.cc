@@ -114,5 +114,29 @@ TEST_P(ConservationSweep, IntervalMassConserved) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConservationSweep, ::testing::Values(3, 17, 29, 71));
 
+// One split shared by many deposits must add exactly what add_interval adds,
+// clipped intervals and intervals outside the domain included.
+TEST(BinnedSeries, SharedSplitMatchesAddIntervalBitForBit) {
+  Rng rng(41);
+  BinnedSeries direct(2.0, 0.7, 50);  // domain [2, 37)
+  BinnedSeries shared(2.0, 0.7, 50);
+  IntervalSplit split;
+  for (int i = 0; i < 300; ++i) {
+    const double a = rng.uniform(-5.0, 40.0);
+    const double b = a + rng.uniform(1e-6, 6.0);
+    shared.split_interval(a, b, split);
+    for (int k = 0; k < 3; ++k) {
+      const double amt = rng.uniform(0.1, 5e6);
+      direct.add_interval(a, b, amt);
+      shared.add_split(split, amt);
+    }
+  }
+  EXPECT_EQ(direct.values(), shared.values());
+
+  EXPECT_THROW(shared.split_interval(3.0, 3.0, split), Error);
+  BinnedSeries(0.0, 1.0, 3).split_interval(0.0, 3.0, split);
+  EXPECT_THROW(BinnedSeries(0.0, 1.0, 2).add_split(split, 1.0), Error);
+}
+
 }  // namespace
 }  // namespace dct
