@@ -1,14 +1,13 @@
 // Checkpointing-overhead study (docs/CHECKPOINT.md's pass/fail gate).
 //
 // The crash-safety argument in docs/CHECKPOINT.md only holds up if the WAL
-// spool and its periodic durability barriers are cheap enough to leave on
-// for long experiments, the same standard the paper applies to its
-// measurement infrastructure and src/obs applies to instrumentation
-// (obs_overhead).  This harness runs the canonical scenario with
-// checkpointing off and on (default tick interval, fsync enabled — the
-// worst honest case), alternating modes and keeping the per-mode minimum
-// over the interleaved reps, and fails with a nonzero exit if the enabled
-// mode costs >= 5% wall clock.
+// spool and its durability barriers (one fdatasync per buffer drain) are
+// cheap enough to leave on for long experiments, the same standard the
+// paper applies to its measurement infrastructure and src/obs applies to
+// instrumentation (obs_overhead).  This harness runs the canonical scenario
+// with checkpointing off and on, alternating modes and keeping the
+// per-mode minimum over the interleaved reps, and fails with a nonzero exit
+// if the enabled mode costs >= 5% wall clock.
 //
 // It also asserts the stronger determinism claim along the way: the encoded
 // trace from the checkpointed run must be byte-identical to the baseline's,
@@ -36,7 +35,7 @@ struct RunResult {
 RunResult run_once(double duration, std::uint64_t seed, const std::string& ckpt_dir) {
   dct::ScenarioConfig cfg = dct::scenarios::canonical(duration, seed);
   if (!ckpt_dir.empty()) {
-    cfg.checkpoint.dir = ckpt_dir;  // default interval_s and fsync=true
+    cfg.checkpoint.dir = ckpt_dir;
   }
   auto exp = dct::ClusterExperiment(cfg);
   exp.run();
@@ -51,9 +50,9 @@ RunResult run_once(double duration, std::uint64_t seed, const std::string& ckpt_
 int main(int argc, char** argv) {
   const double duration = dct::bench::duration_arg(argc, argv, 120.0);
   const auto seed = dct::bench::seed_arg(argc, argv);
-  // Seven alternating reps with per-mode minima.  Runs this short (~0.5 s
-  // wall) sit at the mercy of CPU steal on shared machines — identical
-  // runs spread 10-20% — so the estimator has to be the minimum over
+  // Seven alternating reps with per-mode minima.  Runs this short (~0.12 s
+  // wall in Release) sit at the mercy of CPU steal on shared machines —
+  // identical runs spread 10-20% — so the estimator has to be the minimum over
   // interleaved reps: the min picks the least-contended run, and
   // interleaving means one quiet machine epoch benefits both modes.
   // Durations under ~120 simulated s stay too jittery for the 5% gate

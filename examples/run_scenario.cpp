@@ -3,7 +3,7 @@
 //   run_scenario [--scenario NAME] [--duration SECONDS] [--seed N]
 //                [--jobs-per-second R] [--racks N] [--servers-per-rack N]
 //                [--csv-flows PATH] [--csv-links PATH]
-//                [--checkpoint-dir PATH] [--checkpoint-interval S] [--resume]
+//                [--checkpoint-dir PATH] [--resume]
 //                [--out-trace PATH] [--out-tm PATH] [--out-manifest PATH]
 //
 // Runs one scenario, prints the full measurement report (workload, flow
@@ -11,10 +11,10 @@
 // exports per-flow and per-link CSVs for external tooling.
 //
 // With --checkpoint-dir the run is crash-safe (docs/CHECKPOINT.md): flow
-// records spool to a write-ahead log, made durable every
-// --checkpoint-interval simulated seconds, and a rerun pointed at the same
-// directory — --resume makes the intent explicit and requires the
-// directory — replays the killed run against that log, byte-identically.  All file outputs are written atomically
+// records spool to a write-ahead log, made durable one buffer at a time,
+// and a rerun pointed at the same directory — --resume makes the intent
+// explicit and requires the directory — replays the killed run against
+// that log, byte-identically.  All file outputs are written atomically
 // (temp file + rename), so a crash mid-export never leaves a torn artifact.
 #include <algorithm>
 #include <cstdlib>
@@ -43,7 +43,6 @@ struct Options {
   std::string csv_flows;
   std::string csv_links;
   std::string checkpoint_dir;
-  double checkpoint_interval = 30.0;
   bool resume = false;
   std::string out_trace;
   std::string out_tm;
@@ -57,8 +56,7 @@ struct Options {
                "                    [--duration S] [--seed N] [--jobs-per-second R]\n"
                "                    [--racks N] [--servers-per-rack N]\n"
                "                    [--csv-flows PATH] [--csv-links PATH]\n"
-               "                    [--checkpoint-dir PATH] [--checkpoint-interval S]\n"
-               "                    [--resume]\n"
+               "                    [--checkpoint-dir PATH] [--resume]\n"
                "                    [--out-trace PATH] [--out-tm PATH]\n"
                "                    [--out-manifest PATH]\n";
   std::exit(2);
@@ -90,8 +88,6 @@ Options parse(int argc, char** argv) {
       opt.csv_links = next();
     } else if (arg == "--checkpoint-dir") {
       opt.checkpoint_dir = next();
-    } else if (arg == "--checkpoint-interval") {
-      opt.checkpoint_interval = std::atof(next());
     } else if (arg == "--resume") {
       opt.resume = true;
     } else if (arg == "--out-trace") {
@@ -145,10 +141,7 @@ dct::ScenarioConfig make_config(const Options& opt) {
   if (opt.jobs_per_second >= 0) cfg.workload.jobs_per_second = opt.jobs_per_second;
   if (opt.racks > 0) cfg.topology.racks = opt.racks;
   if (opt.servers_per_rack > 0) cfg.topology.servers_per_rack = opt.servers_per_rack;
-  if (!opt.checkpoint_dir.empty()) {
-    cfg.checkpoint.dir = opt.checkpoint_dir;
-    cfg.checkpoint.interval_s = opt.checkpoint_interval;
-  }
+  cfg.checkpoint.dir = opt.checkpoint_dir;
   return cfg;
 }
 

@@ -36,15 +36,8 @@ std::uint64_t parse_lineage_u64(const std::string& text, const std::string& key,
 
 }  // namespace
 
-void CheckpointConfig::validate() const {
-  if (!enabled()) return;
-  require(interval_s > 0, "CheckpointConfig: interval_s must be > 0 (got " +
-                              std::to_string(interval_s) + ")");
-}
-
 CheckpointManager::CheckpointManager(CheckpointConfig cfg, std::uint64_t fingerprint)
     : cfg_(std::move(cfg)), fingerprint_(fingerprint) {
-  cfg_.validate();
   require(cfg_.enabled(), "CheckpointManager: config has no checkpoint dir");
   if (const char* env = std::getenv("DCT_CKPT_TEST_SLOW_NS")) {
     slow_ns_ = std::atoll(env);
@@ -108,18 +101,11 @@ void CheckpointManager::on_record(const FlowRecord& rec) {
   ++emitted_;
 }
 
-void CheckpointManager::checkpoint() {
-  if (wal_->finalized() || emitted_ < wal_->durable_hashes().size()) return;
-  wal_->flush(cfg_.fsync);
-  write_lineage(false);
-}
-
 void CheckpointManager::finalize() {
   require(emitted_ >= wal_->durable_hashes().size(),
           "ckpt: divergent resume: run completed with fewer records than the "
           "durable WAL holds");
-  wal_->finalize(emitted_, wal_->chain_hash());
-  wal_->flush(cfg_.fsync);
+  wal_->finalize();
   write_lineage(true);
 }
 

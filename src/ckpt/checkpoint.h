@@ -8,7 +8,8 @@
 // log.  On resume, every record the replay re-emits inside the durable
 // prefix is verified against the stored per-record hash instead of being
 // re-appended; records past the prefix are appended as usual.  A torn tail
-// from the crash is truncated on open.
+// from the crash is truncated on open.  The WAL alone decides when data is
+// durable (ckpt/wal.h), so a checkpointed run schedules no events.
 //
 // The net effect: a SIGKILL at any instant — mid-WAL-append, mid-recovery —
 // loses no durable record, and the resumed run's outputs are byte-identical
@@ -23,23 +24,14 @@
 
 namespace dct::ckpt {
 
-/// Checkpointing knobs, carried on ScenarioConfig.  Disabled (the default,
+/// Checkpointing config, carried on ScenarioConfig.  Disabled (the default,
 /// empty dir) costs one null branch per record: runs are bit-identical to a
 /// build without the subsystem.
 struct CheckpointConfig {
   /// Checkpoint directory; empty disables checkpointing entirely.
   std::string dir;
-  /// Simulated seconds between checkpoint ticks, each a WAL durability
-  /// barrier.
-  double interval_s = 30.0;
-  /// fdatasync the WAL at each tick.  Turning this off trades
-  /// crash-durability of the newest interval for speed; the WAL stays
-  /// torn-write safe either way.
-  bool fsync = true;
 
   [[nodiscard]] bool enabled() const noexcept { return !dir.empty(); }
-  /// Throws dct::Error on nonsense (enabled with interval_s <= 0).
-  void validate() const;
 };
 
 /// Owns one checkpoint directory for the lifetime of one run attempt.
@@ -59,35 +51,23 @@ class CheckpointManager {
   };
 
   /// Opens `cfg.dir` (created if missing) for the scenario identified by
-  /// `fingerprint`.  `cfg` must be enabled and valid.
+  /// `fingerprint`.  `cfg` must be enabled.
   CheckpointManager(CheckpointConfig cfg, std::uint64_t fingerprint);
 
   CheckpointManager(const CheckpointManager&) = delete;
   CheckpointManager& operator=(const CheckpointManager&) = delete;
 
-  [[nodiscard]] const CheckpointConfig& config() const noexcept { return cfg_; }
-  /// True when recovery found prior progress (a crashed or completed run).
-  [[nodiscard]] bool resuming() const noexcept { return resume_count_ > 0; }
   /// Times this run has been resumed, this attempt included.
   [[nodiscard]] std::uint64_t resume_count() const noexcept { return resume_count_; }
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
-  /// Records spooled so far this attempt (verified replays + new appends).
-  [[nodiscard]] std::uint64_t records_emitted() const noexcept { return emitted_; }
 
   /// Record tap: verifies `rec` against the durable WAL prefix while the
   /// replay is inside it (throwing on any byte of divergence), appends past
   /// it.
   void on_record(const FlowRecord& rec);
 
-  /// Checkpoint tick, the WAL durability barrier: drains the append
-  /// buffer, fdatasyncs when `fsync` is on, and rewrites the lineage
-  /// manifest.  Skipped while the replay is still inside the durable prefix
-  /// (or the WAL is already finalized): there is nothing new to make
-  /// durable.
-  void checkpoint();
-
   /// Completes the attempt: proves the replay covered the whole durable
-  /// prefix, appends the WAL finalize marker, flushes, and rewrites the
+  /// prefix, finalizes the WAL (marker, drain, fdatasync), and rewrites the
   /// lineage manifest as finished.
   void finalize();
 
@@ -102,7 +82,7 @@ class CheckpointManager {
   std::int64_t slow_ns_ = 0;  ///< DCT_CKPT_TEST_SLOW_NS crash-window widener
   std::unique_ptr<TraceWal> wal_;
   std::uint64_t resume_count_ = 0;
-  std::uint64_t emitted_ = 0;
+  std::uint64_t emitted_ = 0;  ///< verified replays + new appends
   Counters counters_;
 };
 

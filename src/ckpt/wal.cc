@@ -24,9 +24,9 @@ constexpr std::uint8_t kTagFinal = 2;
 // SIGKILLs land mid-frame often enough for the crash harness to exercise
 // torn-tail truncation.
 constexpr std::uint64_t kSlowEveryNth = 8;
-// Owned append-buffer capacity; drained with a single write() when full or
-// at a flush barrier.  Large enough that a canonical run drains a handful
-// of times between checkpoint ticks.
+// Owned append-buffer capacity, and so the most a crash can lose: each
+// drain costs one write() and one fdatasync, so a smaller buffer buys a
+// tighter loss bound with more syncs.
 constexpr std::size_t kBufferCap = 256 * 1024;
 
 std::uint64_t get_u64(ByteReader& r) {
@@ -94,14 +94,19 @@ std::vector<std::uint8_t> wal_header(std::uint64_t fingerprint) {
   return out;
 }
 
-// POSIX write loop used for both buffer drains and the slow-mode torn
-// half-writes; ::write may accept fewer bytes than asked.
-void raw_write(int fd, const std::uint8_t* data, std::size_t size) {
+// POSIX write loop used for the header, buffer drains and the slow-mode
+// torn half-writes; ::write may accept fewer bytes than asked.
+void raw_write(int fd, const std::string& path, const std::uint8_t* data,
+               std::size_t size) {
   std::size_t done = 0;
   while (done < size) {
     const ssize_t n = ::write(fd, data + done, size - done);
-    require(n >= 0 || errno == EINTR, "TraceWal: write failed");
-    if (n > 0) done += static_cast<std::size_t>(n);
+    if (n > 0) {
+      done += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno != EINTR) {
+      const int err = errno;
+      require(false, "TraceWal: write to " + path + " failed: " + std::strerror(err));
+    }
   }
 }
 
@@ -139,15 +144,22 @@ TraceWal::TraceWal(std::string path, std::uint64_t fingerprint, std::int64_t slo
   // Fresh segment (missing, or cut inside the header — nothing durable yet).
   fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   require(fd_ >= 0, "TraceWal: cannot create " + path_);
-  raw_write(fd_, header.data(), header.size());
+  try {
+    raw_write(fd_, path_, header.data(), header.size());
+  } catch (const Error&) {
+    ::close(fd_);  // no destructor runs for a throwing constructor
+    throw;
+  }
   valid_bytes_ = header.size();
 }
 
 TraceWal::~TraceWal() {
-  if (fd_ >= 0) {
-    if (!buffer_.empty()) raw_write(fd_, buffer_.data(), buffer_.size());
-    ::close(fd_);
+  try {
+    if (!buffer_.empty()) drain_buffer();
+  } catch (const Error&) {
+    // Best effort, never thrown: the next resume re-derives lost frames.
   }
+  ::close(fd_);
 }
 
 void TraceWal::scan_existing(const std::vector<std::uint8_t>& bytes) {
@@ -199,9 +211,11 @@ void TraceWal::scan_existing(const std::vector<std::uint8_t>& bytes) {
 }
 
 void TraceWal::drain_buffer() {
-  if (buffer_.empty()) return;
-  raw_write(fd_, buffer_.data(), buffer_.size());
+  raw_write(fd_, path_, buffer_.data(), buffer_.size());
   buffer_.clear();
+  // fdatasync: an append-only segment re-scanned from byte 0 on recovery
+  // needs its data and size durable, not its inode timestamps.
+  require(::fdatasync(fd_) == 0, "TraceWal: fdatasync failed for " + path_);
 }
 
 void TraceWal::write_frame(std::uint8_t tag, std::uint8_t* frame, std::size_t len,
@@ -212,21 +226,20 @@ void TraceWal::write_frame(std::uint8_t tag, std::uint8_t* frame, std::size_t le
   frame[1] = static_cast<std::uint8_t>(len);  // len <= kMaxPayload < 0x80
   const auto size = static_cast<std::size_t>(put_u64(frame + 2 + len, hash) - frame);
   const bool slow = slow_ns_ > 0 && (tag == kTagFinal ||
-                                     appended_since_flush_ % kSlowEveryNth == 0);
+                                     records_appended_ % kSlowEveryNth == 0);
   const std::size_t start = buffer_.size();
   buffer_.insert(buffer_.end(), frame, frame + size);
   if (slow) {
     // Test mode: unbuffered half-writes with a sleep between, so a SIGKILL
     // in the window leaves a genuinely torn frame on disk.
-    raw_write(fd_, buffer_.data(), start + (size / 2));
+    raw_write(fd_, path_, buffer_.data(), start + (size / 2));
     sleep_ns(slow_ns_);
-    raw_write(fd_, buffer_.data() + start + (size / 2), size - (size / 2));
+    raw_write(fd_, path_, buffer_.data() + start + (size / 2), size - (size / 2));
     buffer_.clear();
   } else if (buffer_.size() >= kBufferCap) {
     drain_buffer();
   }
   valid_bytes_ += size;
-  ++appended_since_flush_;
 }
 
 void TraceWal::append(const FlowRecord& rec) {
@@ -244,24 +257,19 @@ void TraceWal::append(const FlowRecord& rec) {
   }
   write_frame(kTagRecord, frame, len, hash);
   chain_ = chain;
+  ++records_appended_;
 }
 
-void TraceWal::finalize(std::uint64_t record_count, std::uint64_t chain_hash) {
+void TraceWal::finalize() {
   if (finalized_) return;
   std::uint8_t frame[kMaxFrame];
   std::uint8_t* const payload = frame + 2;
+  const std::uint64_t records = durable_hashes_.size() + records_appended_;
   const auto len =
-      static_cast<std::size_t>(put_u64(put_uvarint(payload, record_count), chain_hash) - payload);
+      static_cast<std::size_t>(put_u64(put_uvarint(payload, records), chain_) - payload);
   write_frame(kTagFinal, frame, len, fnv1a(kFnvOffset, {payload, len}));
   finalized_ = true;
-}
-
-void TraceWal::flush(bool sync) {
-  require(fd_ >= 0, "TraceWal: closed");
   drain_buffer();
-  // fdatasync: an append-only segment re-scanned from byte 0 on recovery
-  // needs its data and size durable, not its inode timestamps.
-  if (sync) require(::fdatasync(fd_) == 0, "TraceWal: fdatasync failed for " + path_);
 }
 
 }  // namespace dct::ckpt

@@ -5,12 +5,15 @@
 //
 //   [tag u8][payload-length uvarint][payload][FNV-1a(payload) u64le]
 //
-// after a fixed header binding the file to one scenario.  A crash can cut
-// the file anywhere; on reopen the scan accepts the longest prefix of
-// whole, checksum-valid frames and truncates the torn tail — the same
-// salvage rule the trace codec applies to truncated uploads (PR 5), moved
-// down to the durability layer.  A finalize marker closes a completed run's
-// WAL; a reopened WAL without one is, by definition, a crashed run.
+// after a fixed header binding the file to one scenario.  Frames collect in
+// a fixed append buffer; a drain (the buffer filling up, or finalize) is
+// one write plus one fdatasync, the WAL's only durability barrier, so a
+// crash loses at most one buffer of frames.  A crash can cut the file
+// anywhere; on reopen the scan accepts the longest prefix of whole,
+// checksum-valid frames and truncates the torn tail — the same salvage rule
+// the trace codec applies to truncated uploads, moved down to the
+// durability layer.  A finalize marker closes a completed run's WAL; a
+// reopened WAL without one is, by definition, a crashed run.
 #pragma once
 
 #include <cstdint>
@@ -39,26 +42,24 @@ namespace dct::ckpt {
 class TraceWal {
  public:
   /// Opens (or creates) `path` for the scenario identified by
-  /// `fingerprint`.  `slow_ns`, when > 0, widens every append and flush
-  /// with raw unbuffered half-writes separated by that many nanoseconds —
-  /// the crash harness's hook for landing SIGKILLs mid-WAL-append; 0 (the
-  /// default) streams through stdio buffering.
+  /// `fingerprint`.  `slow_ns`, when > 0, writes every 8th frame and the
+  /// finalize marker as raw unbuffered half-writes separated by that many
+  /// nanoseconds — the crash harness's hook for landing SIGKILLs
+  /// mid-WAL-append; 0 (the default) streams through the append buffer.
   TraceWal(std::string path, std::uint64_t fingerprint, std::int64_t slow_ns = 0);
+  /// Drains what is still buffered, best effort; never throws.
   ~TraceWal();
   TraceWal(const TraceWal&) = delete;
   TraceWal& operator=(const TraceWal&) = delete;
 
-  /// Appends one record frame (buffered; durable after flush()).
+  /// Appends one record frame (buffered; durable once the buffer drains).
+  /// Throws dct::Error, naming the path and the OS error, when a drain
+  /// fails.
   void append(const FlowRecord& rec);
-  /// Appends the finalize marker for a completed run.
-  void finalize(std::uint64_t record_count, std::uint64_t chain_hash);
-  /// Drains the append buffer and, when `sync`, fdatasyncs — the
-  /// durability barrier of every checkpoint tick.
-  void flush(bool sync);
-
-  /// Chained FNV-1a over every record payload in the file, the durable
-  /// prefix and this open's appends alike.
-  [[nodiscard]] std::uint64_t chain_hash() const noexcept { return chain_; }
+  /// Appends the finalize marker for a completed run — the count and the
+  /// chained hash of every record in the file — and drains.  A no-op on a
+  /// WAL that is already finalized.
+  void finalize();
 
   // --- State recovered by the opening scan --------------------------------
   /// Payload hashes of the frames that survived the scan, in order.
@@ -86,23 +87,24 @@ class TraceWal {
   void write_frame(std::uint8_t tag, std::uint8_t* frame, std::size_t len,
                    std::uint64_t hash);
   void scan_existing(const std::vector<std::uint8_t>& bytes);
-
+  /// The durability barrier: writes the append buffer, then fdatasyncs.
   void drain_buffer();
 
   std::string path_;
   std::uint64_t fingerprint_ = 0;
   std::int64_t slow_ns_ = 0;
   int fd_ = -1;
-  /// Owned append buffer (drained with one write() when full or at a flush
-  /// barrier): the WAL spools one frame per finalized flow on the
-  /// simulator's hot path, so the per-record cost must be a memcpy, not a
-  /// locked stdio call.
+  /// Owned append buffer (drained when full and at finalize): the WAL
+  /// spools one frame per finalized flow on the simulator's hot path, so
+  /// the per-record cost must be a memcpy, not a locked stdio call.
   std::vector<std::uint8_t> buffer_;
   std::vector<std::uint64_t> durable_hashes_;
+  /// Chained FNV-1a over every record payload in the file, the durable
+  /// prefix and this open's appends alike.
   std::uint64_t chain_ = kFnvOffset;
   std::uint64_t valid_bytes_ = 0;
   std::uint64_t truncated_bytes_ = 0;
-  std::uint64_t appended_since_flush_ = 0;
+  std::uint64_t records_appended_ = 0;  ///< since this open
   bool truncated_tail_ = false;
   bool finalized_ = false;
   bool resumed_existing_ = false;

@@ -85,6 +85,11 @@ void atomic_write_file(const std::string& path, std::string_view text, bool sync
 }
 
 std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
+  // An ifstream opens a directory, then its first read throws
+  // std::ios_base::failure.
+  std::error_code ec;
+  require(!std::filesystem::is_directory(path, ec),
+          "read_file_bytes: " + path + " is a directory");
   std::ifstream in(path, std::ios::binary);
   require(in.good(), "read_file_bytes: cannot open " + path);
   std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),

@@ -32,7 +32,6 @@ ClusterExperiment::ClusterExperiment(ScenarioConfig config)
   config_.degradations.validate();
   config_.cascades.validate();
   config_.telemetry.validate();
-  config_.checkpoint.validate();
   // The overlay is always installed; while every device is up it delegates
   // to the immutable topology, so a fault-free run is unchanged.
   sim_.set_network_state(&net_);
@@ -97,15 +96,14 @@ void ClusterExperiment::run() {
     }
     if (!config_.cascades.empty()) injector_->enable_cascades(config_.cascades);
   }
-  // Checkpointing is opt-in with the same caveat as sampling below: ticks
-  // are user callbacks in the queue, so enabling it shifts event sequence
-  // numbers (never results).  Construction performs recovery — the durable
-  // WAL prefix in the directory becomes the replay-verification target.
+  // Checkpointing is opt-in and adds no events: the record tap spools each
+  // finalized flow, and the WAL decides when it is durable.  Construction
+  // performs recovery — the durable WAL prefix in the directory becomes the
+  // replay-verification target.
   if (config_.checkpoint.enabled()) {
     ckpt_ = std::make_unique<ckpt::CheckpointManager>(config_.checkpoint,
                                                       scenario_fingerprint());
     sim_.set_record_tap([this](const FlowRecord& r) { ckpt_->on_record(r); });
-    schedule_checkpoint_tick(1);
   }
   // Sampling is opt-in: each tick is a user callback in the event queue, so
   // enabling it shifts event sequence numbers.  With the default interval of
@@ -149,18 +147,8 @@ std::uint64_t ClusterExperiment::scenario_fingerprint() const {
       .flag(config_.workload.locality_enabled)
       .flag(config_.workload.chunked_transfers)
       .f64(config_.workload.jobs_per_second)
-      .f64(config_.obs_sample_interval)
-      .f64(config_.checkpoint.interval_s);
+      .f64(config_.obs_sample_interval);
   return fp.value();
-}
-
-void ClusterExperiment::schedule_checkpoint_tick(std::uint64_t id) {
-  const TimeSec t = static_cast<double>(id) * config_.checkpoint.interval_s;
-  if (t > config_.sim.end_time) return;
-  sim_.at(t, [this, id](FlowSim&) {
-    ckpt_->checkpoint();
-    schedule_checkpoint_tick(id + 1);
-  });
 }
 
 void ClusterExperiment::publish_ckpt_metrics() {
@@ -246,7 +234,6 @@ obs::RunManifest ClusterExperiment::manifest(const std::string& harness) const {
   // disabled-mode manifests bit-identical to pre-checkpoint builds.
   if (config_.checkpoint.enabled()) {
     m.config["checkpoint_enabled"] = 1.0;
-    m.config["checkpoint_interval_s"] = config_.checkpoint.interval_s;
     m.config["ckpt_resume_count"] =
         ckpt_ ? static_cast<double>(ckpt_->resume_count()) : 0.0;
   }

@@ -116,8 +116,8 @@ class ClusterExperiment {
     return ckpt_.get();
   }
   /// Scenario identity that binds checkpoint artifacts to this experiment:
-  /// name, seed, horizon, topology shape, subsystem-enable flags and the
-  /// event-schedule-shaping intervals.
+  /// name, seed, horizon, topology shape, subsystem-enable flags, the job
+  /// rate and the obs sampling interval.
   [[nodiscard]] std::uint64_t scenario_fingerprint() const;
 
   // --- Self-instrumentation (src/obs, docs/METRICS.md) --------------------
@@ -137,7 +137,6 @@ class ClusterExperiment {
 
  private:
   void schedule_sampler_tick();
-  void schedule_checkpoint_tick(std::uint64_t id);
   void publish_ckpt_metrics();
   void publish_telemetry_metrics();
   ScenarioConfig config_;

@@ -85,19 +85,8 @@ void checkpoint_oracle(ScenarioConfig cfg, const std::string& workdir,
   fs::create_directories(workdir);
   const std::string ckpt_dir = (fs::path(workdir) / "ckpt").string();
 
-  // Checkpointing schedules extra simulator wake-ups, so the scheduler's
-  // event counter legitimately differs from a plain run; everything else
-  // must not.
   const auto stable = [](ClusterExperiment& exp) {
-    std::istringstream in(
-        filter_manifest_lines(stable_manifest(exp, "ckpt_oracle")));
-    std::string out, line;
-    while (std::getline(in, line)) {
-      if (line.find("events_processed") != std::string::npos) continue;
-      out += line;
-      out += '\n';
-    }
-    return out;
+    return filter_manifest_lines(stable_manifest(exp, "ckpt_oracle"));
   };
 
   cfg.checkpoint = ckpt::CheckpointConfig{};
@@ -112,7 +101,6 @@ void checkpoint_oracle(ScenarioConfig cfg, const std::string& workdir,
   }
 
   cfg.checkpoint.dir = ckpt_dir;
-  cfg.checkpoint.interval_s = std::max(1.0, cfg.sim.end_time / 6.0);
   {
     ClusterExperiment ckpted(cfg);
     ckpted.run();

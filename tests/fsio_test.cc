@@ -72,6 +72,8 @@ TEST_F(FsioTest, CreatesMissingParentDirectories) {
 
 TEST_F(FsioTest, ReadMissingFileThrows) {
   EXPECT_THROW((void)read_file_bytes((dir_ / "nope").string()), Error);
+  // A directory opens as a stream but cannot be read.
+  EXPECT_THROW((void)read_file_bytes(dir_.string()), Error);
 }
 
 }  // namespace

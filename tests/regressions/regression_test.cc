@@ -43,9 +43,10 @@ TEST(ProptestRegressions, CodecCanonicalFormIsStable) {
 }
 
 // oracle.checkpoint originally flagged a manifest mismatch between a plain
-// and a checkpointed run: checkpointing schedules extra simulator wake-ups,
-// so flowsim.events_processed legitimately differs.  The oracle now filters
-// that counter; this replay runs the oracle end-to-end to pin the fix.
+// and a checkpointed run: checkpoint ticks were extra simulator wake-ups, so
+// flowsim.events_processed differed.  A checkpointed run now schedules no
+// events and the oracle compares the counter unfiltered; this replay runs
+// the oracle end-to-end to pin that.
 TEST(ProptestRegressions, CheckpointedRunMatchesPlainRun) {
   const ScenarioConfig cfg =
       testing::load_repro_file(repro_path("repro_ckpt_manifest_seed5.json"));

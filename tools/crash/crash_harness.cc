@@ -1,7 +1,7 @@
 // Kill-9 recovery harness for the checkpoint/restart subsystem.
 //
-//   crash_harness [--rounds=N] [--duration=S] [--seed=N] [--interval=S]
-//                 [--workdir=PATH] [--max-kills=N] [--keep]
+//   crash_harness [--rounds=N] [--duration=S] [--seed=N] [--workdir=PATH]
+//                 [--max-kills=N] [--keep]
 //
 // Each round runs the same tiny scenario twice: once uninterrupted (the
 // reference), and once under checkpointing where the harness SIGKILLs the
@@ -18,7 +18,7 @@
 //            which with DCT_CKPT_TEST_SLOW_NS widening every 8th WAL frame
 //            lands kills mid-WAL-append (torn final frame on disk);
 //   early  — SIGKILL within the first few milliseconds, before the WAL
-//            header or first checkpoint tick exists.
+//            header or its first drained frames exist.
 //
 // Coverage is counted from the ground truth the next recovery reports in
 // ckpt_manifest.json (wal_torn_bytes, stale_tmp_removed).  With
@@ -65,7 +65,6 @@ struct Options {
   int rounds = 10;
   double duration = 30.0;
   std::uint64_t seed = 1;
-  double interval = 5.0;
   std::string workdir;
   int max_kills = 6;
   bool keep = false;
@@ -73,8 +72,7 @@ struct Options {
 
 [[noreturn]] void usage() {
   std::cerr << "usage: crash_harness [--rounds=N] [--duration=S] [--seed=N]\n"
-               "                     [--interval=S] [--workdir=PATH]\n"
-               "                     [--max-kills=N] [--keep]\n";
+               "                     [--workdir=PATH] [--max-kills=N] [--keep]\n";
   std::exit(2);
 }
 
@@ -88,8 +86,6 @@ Options parse(int argc, char** argv) {
       opt.duration = std::atof(arg.c_str() + 11);
     } else if (arg.rfind("--seed=", 0) == 0) {
       opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--interval=", 0) == 0) {
-      opt.interval = std::atof(arg.c_str() + 11);
     } else if (arg.rfind("--workdir=", 0) == 0) {
       opt.workdir = arg.substr(10);
     } else if (arg.rfind("--max-kills=", 0) == 0) {
@@ -100,7 +96,7 @@ Options parse(int argc, char** argv) {
       usage();
     }
   }
-  if (opt.rounds < 1 || opt.duration <= 0 || opt.interval <= 0) usage();
+  if (opt.rounds < 1 || opt.duration <= 0) usage();
   return opt;
 }
 
@@ -129,7 +125,7 @@ void export_outputs(const dct::ClusterExperiment& exp, const fs::path& out) {
 }
 
 // Runs in the forked child; never returns.  `ckpt_dir` empty means the
-// uninterrupted reference run (no checkpointing at all).
+// uncheckpointed baseline run.
 [[noreturn]] void run_child(const Options& opt, std::uint64_t seed,
                             const fs::path& ckpt_dir, const fs::path& out,
                             bool resume, long slow_ns) {
@@ -138,10 +134,7 @@ void export_outputs(const dct::ClusterExperiment& exp, const fs::path& out) {
       ::setenv("DCT_CKPT_TEST_SLOW_NS", std::to_string(slow_ns).c_str(), 1);
     }
     dct::ScenarioConfig cfg = dct::scenarios::tiny(opt.duration, seed);
-    if (!ckpt_dir.empty()) {
-      cfg.checkpoint.dir = ckpt_dir.string();
-      cfg.checkpoint.interval_s = opt.interval;
-    }
+    cfg.checkpoint.dir = ckpt_dir.string();
     dct::ClusterExperiment exp(cfg);
     if (resume) {
       exp.resume(ckpt_dir.string());
@@ -223,7 +216,7 @@ class Runner {
                               : fs::path(opt_.workdir);
     fs::create_directories(work);
     std::cerr << "[crash] " << opt_.rounds << " rounds, " << opt_.duration
-              << " s horizon, interval " << opt_.interval << " s, base seed "
+              << " s horizon, base seed "
               << opt_.seed << ", workdir " << work.string() << "\n";
 
     Totals totals;
@@ -290,11 +283,9 @@ class Runner {
     fs::create_directories(ref_out);
     fs::create_directories(run_out);
 
-    // Uninterrupted reference: checkpointing ON, never killed.  (Checkpoint
-    // ticks are scheduler events, so an uncheckpointed run's event counters
-    // legitimately differ; the trace itself must not — asserted against an
-    // uncheckpointed baseline below.)  Also timed so kill delays span the
-    // real run.
+    // Uninterrupted reference: checkpointing ON, never killed, and timed so
+    // kill delays span the real run, WAL writes included.  Round 0 also
+    // checks it against an uncheckpointed baseline below.
     const auto ref_start = std::chrono::steady_clock::now();
     {
       int status = 0;
