@@ -17,8 +17,10 @@
 // that log, byte-identically.  All file outputs are written atomically
 // (temp file + rename), so a crash mid-export never leaves a torn artifact.
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -62,6 +64,20 @@ struct Options {
   std::exit(2);
 }
 
+// Parses a numeric flag's whole value as a T, or exits with the usage
+// error: "abc", "5x" and a value outside T's range are refused.
+template <typename T>
+T flag_value(const std::string& flag, const char* text) {
+  T value{};
+  const char* const end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || stop != end) {
+    std::cerr << "run_scenario: bad value for " << flag << ": '" << text << "'\n";
+    usage();
+  }
+  return value;
+}
+
 Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -73,15 +89,15 @@ Options parse(int argc, char** argv) {
     if (arg == "--scenario") {
       opt.scenario = next();
     } else if (arg == "--duration") {
-      opt.duration = std::atof(next());
+      opt.duration = flag_value<double>(arg, next());
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(next(), nullptr, 10);
+      opt.seed = flag_value<std::uint64_t>(arg, next());
     } else if (arg == "--jobs-per-second") {
-      opt.jobs_per_second = std::atof(next());
+      opt.jobs_per_second = flag_value<double>(arg, next());
     } else if (arg == "--racks") {
-      opt.racks = std::atoi(next());
+      opt.racks = flag_value<std::int32_t>(arg, next());
     } else if (arg == "--servers-per-rack") {
-      opt.servers_per_rack = std::atoi(next());
+      opt.servers_per_rack = flag_value<std::int32_t>(arg, next());
     } else if (arg == "--csv-flows") {
       opt.csv_flows = next();
     } else if (arg == "--csv-links") {
@@ -145,10 +161,8 @@ dct::ScenarioConfig make_config(const Options& opt) {
   return cfg;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
+// Runs the scenario, then prints its report and writes the requested files.
+int run(const Options& opt) {
   dct::ClusterExperiment exp(make_config(opt));
   if (opt.resume) {
     exp.resume(opt.checkpoint_dir);
@@ -297,4 +311,16 @@ int main(int argc, char** argv) {
     std::cout << "wrote manifest: " << opt.out_manifest << '\n';
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Options opt = parse(argc, argv);
+  try {
+    return run(opt);
+  } catch (const std::exception& e) {
+    std::cerr << "run_scenario: error: " << e.what() << '\n';
+    return 1;
+  }
 }

@@ -11,16 +11,6 @@
 
 namespace dct {
 
-namespace {
-
-// Flows per utilization-deposit chunk (docs/PERFORMANCE.md).  Each chunk
-// deposits into fresh per-link series that are added into the result in
-// chunk order, so this size sets the floating-point summation order, and
-// the pinned analysis digests (tests/golden_test.cc) depend on it.
-constexpr std::size_t kUtilFlowChunk = std::size_t{1} << 17;
-
-}  // namespace
-
 const BinnedSeries& LinkUtilizationMap::of(LinkId l) const {
   require(l.valid() && static_cast<std::size_t>(l.value()) < per_link.size(),
           "LinkUtilizationMap::of: link out of range");
@@ -58,28 +48,14 @@ LinkUtilizationMap utilization_from_trace(const ClusterTrace& trace, const Topol
   }
 
   // Deposit phase: spread each flow's bytes over its lifetime on every link
-  // of its path, one chunk of flows at a time.
-  const auto& flows = trace.flows();
-  const auto deposit = [&](std::size_t begin, std::size_t end,
-                           std::vector<BinnedSeries>& per_link) {
-    std::vector<LinkId> path;
-    for (std::size_t i = begin; i < end; ++i) {
-      const SocketFlowLog& f = flows[i];
-      if (f.bytes <= 0) continue;
-      topo.route_into(f.local, f.peer, path);
-      for (LinkId l : path) {
-        per_link[static_cast<std::size_t>(l.value())].add_interval(
-            f.start, std::max(f.end, f.start), static_cast<double>(f.bytes));
-      }
-    }
-  };
-  if (flows.size() <= kUtilFlowChunk) {
-    deposit(0, flows.size(), out.per_link);
-  } else {
-    for (std::size_t begin = 0; begin < flows.size(); begin += kUtilFlowChunk) {
-      std::vector<BinnedSeries> partial(n_links, BinnedSeries(0.0, bin_width, bins));
-      deposit(begin, std::min(begin + kUtilFlowChunk, flows.size()), partial);
-      for (std::size_t l = 0; l < n_links; ++l) out.per_link[l].add_series(partial[l]);
+  // of its path, in trace order.
+  std::vector<LinkId> path;
+  for (const SocketFlowLog& f : trace.flows()) {
+    if (f.bytes <= 0) continue;
+    topo.route_into(f.local, f.peer, path);
+    for (LinkId l : path) {
+      out.per_link[static_cast<std::size_t>(l.value())].add_interval(
+          f.start, std::max(f.end, f.start), static_cast<double>(f.bytes));
     }
   }
 

@@ -37,10 +37,8 @@ struct LinkUtilizationMap {
 
 /// Approximate utilization from socket logs alone: routes every flow and
 /// spreads its bytes uniformly over its lifetime.  This is what an analyst
-/// with only server logs (no switch counters) can reconstruct.
-///
-/// Fixed-size flow chunks deposit into byte series merged in chunk order,
-/// which fixes the floating-point summation order (docs/PERFORMANCE.md).
+/// with only server logs (no switch counters) can reconstruct.  Flows
+/// deposit in trace order (docs/PERFORMANCE.md).
 [[nodiscard]] LinkUtilizationMap utilization_from_trace(const ClusterTrace& trace,
                                                         const Topology& topo,
                                                         TimeSec bin_width);

@@ -25,15 +25,6 @@ double SparseTm::at(std::int32_t from, std::int32_t to) const {
   return it == cells_.end() ? 0.0 : it->second;
 }
 
-void SparseTm::merge_from(const SparseTm& other) {
-  require(other.n_ == n_, "SparseTm::merge_from: size mismatch");
-  // One add per cell and one for the total: iteration order over `other`
-  // cannot change any sum, so the merge is deterministic as long as the
-  // *sequence of merge_from calls* is (chunk order, enforced by callers).
-  for (const auto& [k, v] : other.cells_) cells_[k] += v;
-  total_ += other.total_;
-}
-
 std::vector<SparseTm::Entry> SparseTm::entries() const {
   std::vector<Entry> out;
   out.reserve(cells_.size());
@@ -77,16 +68,6 @@ double SparseTm::entries_for_volume(double volume_fraction) const {
 
 namespace {
 
-// Chunk sizes of the chunked TM builders (docs/PERFORMANCE.md).  Each chunk
-// deposits into a fresh partial that is merged into the result in chunk
-// order, so these sizes set the floating-point summation order, and the
-// pinned analysis digests (tests/golden_test.cc) depend on it.  A partial is
-// never cleared and reused: a cleared unordered_map keeps its buckets, which
-// can change the order cells enter the result, and later sums over
-// entries() follow that order.
-constexpr std::size_t kTmFlowChunk = 8192;   // flows per TM-deposit chunk
-constexpr std::size_t kGapServerChunk = 16;  // servers per ledger-settle chunk
-
 // Maps a flow endpoint to a TM node index, or -1 to drop the flow.
 std::int32_t scope_node(const Topology& topo, ServerId s, TmScope scope) {
   if (scope == TmScope::kServer) return s.value();
@@ -94,13 +75,26 @@ std::int32_t scope_node(const Topology& topo, ServerId s, TmScope scope) {
   return topo.rack_of(s).value();
 }
 
-// Deposits flows [begin, end) of the trace into `tms` — the body of
-// build_tm_series, run once per chunk.
-void deposit_tm_range(const std::vector<SocketFlowLog>& flows, std::size_t begin,
-                      std::size_t end, const Topology& topo, TimeSec duration,
-                      TimeSec window, TmScope scope, std::vector<SparseTm>& tms) {
-  for (std::size_t i = begin; i < end; ++i) {
-    const SocketFlowLog& f = flows[i];
+}  // namespace
+
+std::vector<SparseTm> build_tm_series(const ClusterTrace& trace, const Topology& topo,
+                                      TimeSec window, TmScope scope) {
+  require(window > 0, "build_tm_series: window must be > 0");
+  // The window count is cast to size_t; an out-of-range cast is undefined.
+  require(trace.duration() / window < 0x1p63,
+          "build_tm_series: duration / window overflows the window count");
+#if DCT_OBS_ENABLED
+  obs::WallNsCounter obs_timer(detail::g_analysis_metrics.tm_build_wall_ns);
+#endif
+  const auto n_windows =
+      static_cast<std::size_t>(std::ceil(trace.duration() / window));
+  const std::int32_t n =
+      scope == TmScope::kServer ? topo.server_count() : topo.rack_count();
+  std::vector<SparseTm> tms(std::max<std::size_t>(n_windows, 1), SparseTm(n));
+
+  // One pass in trace order: each flow's bytes spread over its windows.
+  const TimeSec duration = trace.duration();
+  for (const SocketFlowLog& f : trace.flows()) {
     const std::int32_t from = scope_node(topo, f.local, scope);
     const std::int32_t to = scope_node(topo, f.peer, scope);
     if (from < 0 || to < 0) continue;
@@ -123,38 +117,6 @@ void deposit_tm_range(const std::vector<SocketFlowLog>& flows, std::size_t begin
       const TimeSec overlap = std::min(w_hi, flow_end) - std::max(w_lo, start);
       if (overlap > 0) tms[w].add(from, to, density * overlap);
     }
-  }
-}
-
-}  // namespace
-
-std::vector<SparseTm> build_tm_series(const ClusterTrace& trace, const Topology& topo,
-                                      TimeSec window, TmScope scope) {
-  require(window > 0, "build_tm_series: window must be > 0");
-  // The window count is cast to size_t; an out-of-range cast is undefined.
-  require(trace.duration() / window < 0x1p63,
-          "build_tm_series: duration / window overflows the window count");
-#if DCT_OBS_ENABLED
-  obs::WallNsCounter obs_timer(detail::g_analysis_metrics.tm_build_wall_ns);
-#endif
-  const auto n_windows =
-      static_cast<std::size_t>(std::ceil(trace.duration() / window));
-  const std::int32_t n =
-      scope == TmScope::kServer ? topo.server_count() : topo.rack_count();
-  std::vector<SparseTm> tms(std::max<std::size_t>(n_windows, 1), SparseTm(n));
-
-  const auto& flows = trace.flows();
-  if (flows.size() <= kTmFlowChunk) {
-    // One chunk: deposit straight into the result.
-    deposit_tm_range(flows, 0, flows.size(), topo, trace.duration(), window, scope,
-                     tms);
-    return tms;
-  }
-  for (std::size_t begin = 0; begin < flows.size(); begin += kTmFlowChunk) {
-    std::vector<SparseTm> partial(tms.size(), SparseTm(n));
-    deposit_tm_range(flows, begin, std::min(begin + kTmFlowChunk, flows.size()), topo,
-                     trace.duration(), window, scope, partial);
-    for (std::size_t w = 0; w < tms.size(); ++w) tms[w].merge_from(partial[w]);
   }
   return tms;
 }
@@ -242,15 +204,15 @@ std::vector<SparseTm> build_tm_series_gap_aware(const ClusterTrace& trace,
   }
 
   // Pass 2 — settle each hole's ledger.  Servers settle in ascending id
-  // order (not map order) into per-chunk partial matrices, merged in chunk
-  // order: corrections for different servers can touch the same cell, so a
-  // fixed deposit sequence is what keeps the corrected series reproducible.
+  // order (not map order): corrections for different servers can touch the
+  // same cell, so a fixed deposit sequence is what keeps the corrected
+  // series reproducible.
   std::vector<std::int32_t> loss_servers;
   loss_servers.reserve(lost_by_server.size());
   for (const auto& [server, lost] : lost_by_server) loss_servers.push_back(server);
   std::sort(loss_servers.begin(), loss_servers.end());
 
-  const auto settle_server = [&](std::int32_t server, std::vector<SparseTm>& out) {
+  for (const std::int32_t server : loss_servers) {
     const auto& lost = lost_by_server.at(server);
     const auto& holes = trace.gap_intervals(ServerId{server});
     const auto& mine = by_server[static_cast<std::size_t>(server)];
@@ -319,26 +281,14 @@ std::vector<SparseTm> build_tm_series_gap_aware(const ClusterTrace& trace,
         if (scope == TmScope::kToR && from == to) continue;
         const double share = mass * static_cast<double>(f->bytes) / sum_b;
         auto w = static_cast<std::size_t>(span_lo / window);
-        for (; w < out.size(); ++w) {
+        for (; w < tms.size(); ++w) {
           const TimeSec w_lo = static_cast<double>(w) * window;
           if (w_lo >= hi) break;
           const TimeSec overlap = std::min(w_lo + window, hi) - std::max(w_lo, span_lo);
-          if (overlap > 0) out[w].add(from, to, share * overlap / span);
+          if (overlap > 0) tms[w].add(from, to, share * overlap / span);
         }
       }
     }
-  };
-
-  if (loss_servers.size() <= kGapServerChunk) {
-    for (const std::int32_t server : loss_servers) settle_server(server, tms);
-    return tms;
-  }
-  const std::int32_t n = tms.front().size();
-  for (std::size_t begin = 0; begin < loss_servers.size(); begin += kGapServerChunk) {
-    std::vector<SparseTm> partial(tms.size(), SparseTm(n));
-    const std::size_t end = std::min(begin + kGapServerChunk, loss_servers.size());
-    for (std::size_t i = begin; i < end; ++i) settle_server(loss_servers[i], partial);
-    for (std::size_t w = 0; w < tms.size(); ++w) tms[w].merge_from(partial[w]);
   }
   return tms;
 }
@@ -352,30 +302,16 @@ SparseTm build_tm(const ClusterTrace& trace, const Topology& topo, TimeSec t0,
   const std::int32_t n =
       scope == TmScope::kServer ? topo.server_count() : topo.rack_count();
   const TimeSec t1 = t0 + window;
-  const auto& flows = trace.flows();
-  const auto deposit = [&](std::size_t begin, std::size_t end, SparseTm& tm) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const SocketFlowLog& f = flows[i];
-      if (f.end <= t0 || f.start >= t1 || f.bytes <= 0) continue;
-      const std::int32_t from = scope_node(topo, f.local, scope);
-      const std::int32_t to = scope_node(topo, f.peer, scope);
-      if (from < 0 || to < 0) continue;
-      if (scope == TmScope::kToR && from == to) continue;
-      const TimeSec span = std::max<TimeSec>(f.end - f.start, 1e-9);
-      const TimeSec overlap = std::min(f.end, t1) - std::max(f.start, t0);
-      tm.add(from, to, static_cast<double>(f.bytes) * overlap / span);
-    }
-  };
-
   SparseTm tm(n);
-  if (flows.size() <= kTmFlowChunk) {
-    deposit(0, flows.size(), tm);
-    return tm;
-  }
-  for (std::size_t begin = 0; begin < flows.size(); begin += kTmFlowChunk) {
-    SparseTm partial(n);
-    deposit(begin, std::min(begin + kTmFlowChunk, flows.size()), partial);
-    tm.merge_from(partial);
+  for (const SocketFlowLog& f : trace.flows()) {
+    if (f.end <= t0 || f.start >= t1 || f.bytes <= 0) continue;
+    const std::int32_t from = scope_node(topo, f.local, scope);
+    const std::int32_t to = scope_node(topo, f.peer, scope);
+    if (from < 0 || to < 0) continue;
+    if (scope == TmScope::kToR && from == to) continue;
+    const TimeSec span = std::max<TimeSec>(f.end - f.start, 1e-9);
+    const TimeSec overlap = std::min(f.end, t1) - std::max(f.start, t0);
+    tm.add(from, to, static_cast<double>(f.bytes) * overlap / span);
   }
   return tm;
 }

@@ -28,12 +28,6 @@ class SparseTm {
   void add(std::int32_t from, std::int32_t to, double bytes);
   [[nodiscard]] double at(std::int32_t from, std::int32_t to) const;
 
-  /// Accumulates another matrix of the same size into this one — the merge
-  /// step of the chunked TM builders.  Each of `other`'s cells is added with
-  /// exactly one FP add, so merging chunk partials in chunk order fixes
-  /// every sum.
-  void merge_from(const SparseTm& other);
-
   [[nodiscard]] std::int32_t size() const noexcept { return n_; }
   [[nodiscard]] std::size_t nonzero_count() const noexcept { return cells_.size(); }
   [[nodiscard]] double total() const noexcept { return total_; }
@@ -77,16 +71,12 @@ enum class TmScope : std::uint8_t { kServer, kToR };
 /// Flow bytes are spread uniformly over the flow's lifetime (the socket-log
 /// approximation: logs record per-flow transfers, not per-packet timings).
 /// ToR scope drops same-rack and external traffic, matching the paper's
-/// ToR-to-ToR matrices.
-///
-/// Fixed-size flow chunks deposit into partial matrices merged in chunk
-/// order, which fixes the floating-point summation order
-/// (docs/PERFORMANCE.md).
+/// ToR-to-ToR matrices.  Flows deposit in trace order (docs/PERFORMANCE.md).
 [[nodiscard]] std::vector<SparseTm> build_tm_series(const ClusterTrace& trace,
                                                     const Topology& topo, TimeSec window,
                                                     TmScope scope);
 
-/// One TM over [t0, t0+window).  Chunked like build_tm_series.
+/// One TM over [t0, t0+window), deposited in trace order like build_tm_series.
 [[nodiscard]] SparseTm build_tm(const ClusterTrace& trace, const Topology& topo,
                                 TimeSec t0, TimeSec window, TmScope scope);
 
@@ -143,8 +133,8 @@ struct TmCoverageOptions {
 /// triggers no correction, so no mass is ever invented where nothing was
 /// lost.  Gaps lacking counts (records_lost == 0, e.g. decoder-salvage
 /// gaps) degrade to the naive estimate.
-/// Pass 1 is build_tm_series; pass 2 settles ledgers in chunks of servers
-/// (in ascending server order) into partial matrices merged in chunk order.
+/// Pass 1 is build_tm_series; pass 2 settles ledgers in ascending server
+/// order straight into its matrices.
 [[nodiscard]] std::vector<SparseTm> build_tm_series_gap_aware(
     const ClusterTrace& trace, const Topology& topo, TimeSec window, TmScope scope,
     const TmCoverageOptions& options = {});

@@ -239,7 +239,6 @@ void TraceWal::write_frame(std::uint8_t tag, std::uint8_t* frame, std::size_t le
   } else if (buffer_.size() >= kBufferCap) {
     drain_buffer();
   }
-  valid_bytes_ += size;
 }
 
 void TraceWal::append(const FlowRecord& rec) {

@@ -67,7 +67,9 @@ class TraceWal {
   [[nodiscard]] const std::vector<std::uint64_t>& durable_hashes() const noexcept {
     return durable_hashes_;
   }
-  /// Bytes of valid prefix the scan kept (header + whole frames).
+  /// Bytes of valid prefix the scan kept (header + whole frames), or the
+  /// header alone for a fresh WAL.  Appends made after the open are not
+  /// added.
   [[nodiscard]] std::uint64_t durable_bytes() const noexcept { return valid_bytes_; }
   /// True when the scan cut a torn tail off the file.
   [[nodiscard]] bool truncated_tail() const noexcept { return truncated_tail_; }

@@ -94,13 +94,6 @@ BinnedSeries BinnedSeries::to_rate() const {
   return out;
 }
 
-void BinnedSeries::add_series(const BinnedSeries& other) {
-  require(other.t0_ == t0_ && other.width_ == width_ &&
-              other.values_.size() == values_.size(),
-          "add_series: shape mismatch");
-  for (std::size_t i = 0; i < values_.size(); ++i) values_[i] += other.values_[i];
-}
-
 BinnedSeries BinnedSeries::coarsen(std::size_t factor) const {
   require(factor >= 1, "coarsen: factor must be >= 1");
   const std::size_t out_bins = (values_.size() + factor - 1) / factor;

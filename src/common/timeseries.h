@@ -63,10 +63,6 @@ class BinnedSeries {
   /// summing constituent bins.  The tail partial bin, if any, is kept.
   [[nodiscard]] BinnedSeries coarsen(std::size_t factor) const;
 
-  /// Elementwise accumulation of another series with identical shape
-  /// (t0, width, bin count) — the merge step for chunked deposits.
-  void add_series(const BinnedSeries& other);
-
  private:
   double t0_;
   double width_;

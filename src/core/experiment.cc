@@ -105,13 +105,6 @@ void ClusterExperiment::run() {
                                                       scenario_fingerprint());
     sim_.set_record_tap([this](const FlowRecord& r) { ckpt_->on_record(r); });
   }
-  // Sampling is opt-in: each tick is a user callback in the event queue, so
-  // enabling it shifts event sequence numbers.  With the default interval of
-  // 0 the queue contents are identical to a build without obs.
-  if (config_.obs_sample_interval > 0) {
-    sampler_ = std::make_unique<obs::Sampler>(registry_, config_.obs_sample_interval);
-    schedule_sampler_tick();
-  }
   sim_.run();
   trace_.build_indices();
   if (ckpt_) {
@@ -146,8 +139,7 @@ std::uint64_t ClusterExperiment::scenario_fingerprint() const {
       .flag(!config_.telemetry.empty())
       .flag(config_.workload.locality_enabled)
       .flag(config_.workload.chunked_transfers)
-      .f64(config_.workload.jobs_per_second)
-      .f64(config_.obs_sample_interval);
+      .f64(config_.workload.jobs_per_second);
   return fp.value();
 }
 
@@ -161,15 +153,6 @@ void ClusterExperiment::publish_ckpt_metrics() {
   registry_.counter("ckpt", "stale_tmp_removed", "files")->inc(c.stale_tmp_removed);
   registry_.gauge("ckpt", "resume_count", "resumes")
       ->set(static_cast<double>(ckpt_->resume_count()));
-}
-
-void ClusterExperiment::schedule_sampler_tick() {
-  const TimeSec t = sampler_->next_sample_time();
-  if (t > config_.sim.end_time) return;
-  sim_.at(t, [this](FlowSim& s) {
-    sampler_->tick(s.now());
-    schedule_sampler_tick();
-  });
 }
 
 const ClusterTrace& ClusterExperiment::observed_trace() {
@@ -229,7 +212,6 @@ obs::RunManifest ClusterExperiment::manifest(const std::string& harness) const {
   m.config["telemetry_enabled"] = config_.telemetry.empty() ? 0.0 : 1.0;
   m.config["telemetry_schedule_hash"] =
       static_cast<double>(telemetry_hash_ & ((1ull << 48) - 1));
-  m.config["obs_sample_interval_s"] = config_.obs_sample_interval;
   // Checkpoint lineage keys appear only when checkpointing is on, keeping
   // disabled-mode manifests bit-identical to pre-checkpoint builds.
   if (config_.checkpoint.enabled()) {

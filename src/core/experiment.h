@@ -22,7 +22,6 @@
 #include "flowsim/flowsim.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
-#include "obs/sampler.h"
 #include "topology/network_state.h"
 #include "topology/topology.h"
 #include "trace/cluster_trace.h"
@@ -116,8 +115,8 @@ class ClusterExperiment {
     return ckpt_.get();
   }
   /// Scenario identity that binds checkpoint artifacts to this experiment:
-  /// name, seed, horizon, topology shape, subsystem-enable flags, the job
-  /// rate and the obs sampling interval.
+  /// name, seed, horizon, topology shape, subsystem-enable flags and the
+  /// job rate.
   [[nodiscard]] std::uint64_t scenario_fingerprint() const;
 
   // --- Self-instrumentation (src/obs, docs/METRICS.md) --------------------
@@ -125,9 +124,6 @@ class ClusterExperiment {
   /// values are final once run() returns.  In a DCT_OBS=OFF build the
   /// registry exists but stays empty.
   [[nodiscard]] const obs::Registry& registry() const noexcept { return registry_; }
-  /// Periodic counter/gauge samples over simulated time, or nullptr when
-  /// the scenario's obs_sample_interval is 0.
-  [[nodiscard]] const obs::Sampler* sampler() const noexcept { return sampler_.get(); }
   /// Wall-clock seconds spent inside run() (0 before the run).
   [[nodiscard]] double wall_seconds() const noexcept { return wall_seconds_; }
   /// Builds the reproducibility record for this run: scenario identity,
@@ -136,7 +132,6 @@ class ClusterExperiment {
   [[nodiscard]] obs::RunManifest manifest(const std::string& harness) const;
 
  private:
-  void schedule_sampler_tick();
   void publish_ckpt_metrics();
   void publish_telemetry_metrics();
   ScenarioConfig config_;
@@ -157,7 +152,6 @@ class ClusterExperiment {
   bool process_metrics_bound_ = false;  // codec/analysis hooks point into registry_
   std::unique_ptr<LinkUtilizationMap> util_cache_;
   obs::Registry registry_;
-  std::unique_ptr<obs::Sampler> sampler_;
   double wall_seconds_ = 0;
 };
 

@@ -50,18 +50,13 @@ struct ScenarioConfig {
   std::uint64_t seed = 42;
   /// Crash-safe checkpoint/restart (src/ckpt, docs/CHECKPOINT.md): when a
   /// checkpoint directory is set, run() spools every flow record to a
-  /// write-ahead log there, made durable on a sim-time interval, and a
-  /// rerun pointed at the same directory resumes a killed run, verifying
+  /// write-ahead log there, made durable one append buffer at a time, and
+  /// a rerun pointed at the same directory resumes a killed run, verifying
   /// the replay against the durable log byte-for-byte.  Disabled (empty
-  /// dir) by default, in which case no manager is built, no tap or tick is
+  /// dir) by default, in which case no manager is built, no record tap is
   /// installed and the run is byte-identical to a build without the
   /// subsystem.
   ckpt::CheckpointConfig checkpoint;
-  /// When > 0, ClusterExperiment samples every registered counter/gauge
-  /// onto this simulated-time grid (obs::Sampler) during run(); 0 (the
-  /// default) schedules no sampling callbacks, leaving the event stream
-  /// exactly as it was before the obs subsystem existed.
-  TimeSec obs_sample_interval = 0.0;
   /// When false, run() skips bind_metrics on every subsystem, so the
   /// DCT_OBS macro sites stay dormant null-pointer checks and the manifest
   /// carries no metrics.  bench/obs_overhead flips this to measure live

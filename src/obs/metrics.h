@@ -5,8 +5,8 @@
 // gave its cluster (server-centric event logging with quantified overhead,
 // Table 1) applied to the reproduction itself.  Metrics are identified by
 // (subsystem, name); the registry hands out stable pointers and iterates in
-// sorted order, so exports (RunManifest, Sampler CSV) are byte-stable across
-// runs and platforms.
+// sorted order, so exports (RunManifest) are byte-stable across runs and
+// platforms.
 //
 // Hot-path cost: a Counter::inc is one add on a plain uint64 member; a
 // Histogram::observe is a compare plus two adds.  Neither allocates.  The
@@ -79,7 +79,7 @@ struct Metric {
   std::unique_ptr<Gauge> gauge;
   std::unique_ptr<Histogram> histogram;
 
-  /// "subsystem.name" — the key used in manifests and sampler columns.
+  /// "subsystem.name" — the key used in manifests and snapshots.
   [[nodiscard]] std::string full_name() const { return subsystem + "." + name; }
 };
 

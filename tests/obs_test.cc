@@ -1,12 +1,11 @@
 // Tests for the self-instrumentation subsystem (src/obs): registry
-// semantics, the histogram summary, sampler grid behaviour, manifest
-// golden output, and — the property everything else leans on — that two
-// identical seeded runs produce identical counter/gauge values while the
-// instrumentation itself never perturbs the simulation.
+// semantics, the histogram summary, manifest golden output, and — the
+// property everything else leans on — that two identical seeded runs
+// produce identical counter/gauge values while the instrumentation itself
+// never perturbs the simulation.
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,7 +17,6 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/sampler.h"
 
 namespace dct::obs {
 namespace {
@@ -106,30 +104,6 @@ TEST(Macros, BoundPointersRecordWhenEnabled) {
     EXPECT_EQ(c->value(), 0u);
     EXPECT_EQ(h->count(), 0u);
   }
-}
-
-TEST(Sampler, RecordsOnGridAndCollapsesSkippedPoints) {
-  Registry reg;
-  Counter* c = reg.counter("s", "events", "events");
-  Sampler sampler(reg, 10.0);
-  EXPECT_DOUBLE_EQ(sampler.next_sample_time(), 10.0);
-  EXPECT_FALSE(sampler.tick(9.9));
-  c->inc(4);
-  EXPECT_TRUE(sampler.tick(10.0));  // first grid point
-  c->inc(1);
-  EXPECT_TRUE(sampler.tick(35.0));  // skips 20 and 30: still one row
-  EXPECT_FALSE(sampler.tick(35.5));
-  ASSERT_EQ(sampler.sample_count(), 2u);
-  EXPECT_DOUBLE_EQ(sampler.times()[0], 10.0);
-  EXPECT_DOUBLE_EQ(sampler.times()[1], 35.0);
-  ASSERT_EQ(sampler.columns(), std::vector<std::string>{"s.events"});
-  EXPECT_EQ(sampler.row(0)[0], 4.0);
-  EXPECT_EQ(sampler.row(1)[0], 5.0);
-  EXPECT_DOUBLE_EQ(sampler.next_sample_time(), 40.0);
-
-  std::ostringstream csv;
-  sampler.write_csv(csv);
-  EXPECT_EQ(csv.str(), "sim_time,s.events\n10,4\n35,5\n");
 }
 
 TEST(Manifest, JsonGoldenIsByteStable) {
@@ -286,25 +260,6 @@ TEST(Experiment, EventLoopStaysUnderFiveEventsPerFlow) {
 TEST(Experiment, ManifestBeforeRunThrows) {
   auto exp = ClusterExperiment(scenarios::tiny(30.0, 11));
   EXPECT_THROW(exp.manifest("obs_test"), Error);
-}
-
-TEST(Experiment, SamplerRecordsWhenIntervalSet) {
-  ScenarioConfig cfg = scenarios::tiny(30.0, 11);
-  cfg.obs_sample_interval = 5.0;
-  auto exp = ClusterExperiment(cfg);
-  exp.run();
-  ASSERT_NE(exp.sampler(), nullptr);
-  EXPECT_GE(exp.sampler()->sample_count(), 5u);
-  EXPECT_LE(exp.sampler()->sample_count(), 6u);
-  if (kEnabled) {
-    EXPECT_FALSE(exp.sampler()->columns().empty());
-  }
-}
-
-TEST(Experiment, SamplerOffByDefault) {
-  auto exp = ClusterExperiment(scenarios::tiny(30.0, 11));
-  exp.run();
-  EXPECT_EQ(exp.sampler(), nullptr);
 }
 
 TEST(Experiment, DormantBindingLeavesSimulationIdentical) {

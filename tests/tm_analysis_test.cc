@@ -46,46 +46,6 @@ TEST(SparseTm, BasicAccounting) {
   EXPECT_THROW(tm.add(0, 1, -1), Error);
 }
 
-TEST(SparseTm, MergeFromEmptyAndSingleCell) {
-  // Merging an empty chunk is the identity; merging a single-cell chunk
-  // lands exactly that cell.
-  SparseTm acc(4);
-  acc.add(0, 1, 10);
-  SparseTm empty(4);
-  acc.merge_from(empty);
-  EXPECT_DOUBLE_EQ(acc.total(), 10);
-  EXPECT_EQ(acc.nonzero_count(), 1u);
-
-  SparseTm single(4);
-  single.add(2, 3, 7);
-  acc.merge_from(single);
-  EXPECT_DOUBLE_EQ(acc.at(2, 3), 7);
-  EXPECT_DOUBLE_EQ(acc.total(), 17);
-
-  // Merging INTO an empty accumulator reproduces the source bit-for-bit.
-  SparseTm fresh(4);
-  fresh.merge_from(acc);
-  EXPECT_EQ(fresh.at(0, 1), acc.at(0, 1));
-  EXPECT_EQ(fresh.at(2, 3), acc.at(2, 3));
-  EXPECT_EQ(fresh.total(), acc.total());
-}
-
-TEST(SparseTm, MergeFromSumsDuplicateKeys) {
-  SparseTm a(4), b(4);
-  a.add(1, 2, 5);
-  a.add(0, 3, 1);
-  b.add(1, 2, 3);  // same (from, to) key as a's first cell
-  a.merge_from(b);
-  EXPECT_DOUBLE_EQ(a.at(1, 2), 8);
-  EXPECT_EQ(a.nonzero_count(), 2u);
-  EXPECT_DOUBLE_EQ(a.total(), 9);
-}
-
-TEST(SparseTm, MergeFromRejectsSizeMismatch) {
-  SparseTm a(4), b(5);
-  EXPECT_THROW(a.merge_from(b), Error);
-}
-
 TEST(SparseTm, L1Distance) {
   SparseTm a(3), b(3);
   a.add(0, 1, 10);
