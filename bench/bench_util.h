@@ -5,7 +5,10 @@
 // so EXPERIMENTS.md can be regenerated by running `build/bench/*`.
 #pragma once
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -25,14 +28,31 @@ inline void atomic_write(const std::string& path, std::string_view content) {
   atomic_write_file(path, content);
 }
 
+/// Parses all of `argv[i]` as a T, or prints
+/// "<harness>: bad value for <what>: '<text>'" and exits 2: "abc" or "5x"
+/// must not quietly run a zero horizon or seed 0.
+template <typename T>
+T positional_arg(char** argv, int i, const char* what) {
+  const char* const text = argv[i];
+  const char* const end = text + std::strlen(text);
+  T value{};
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || stop != end) {
+    std::cerr << std::filesystem::path(argv[0]).filename().string() << ": bad value for "
+              << what << ": '" << text << "'\n";
+    std::exit(2);
+  }
+  return value;
+}
+
 /// Parses `argv[1]` as a duration override (seconds), defaulting to `def`.
 inline double duration_arg(int argc, char** argv, double def) {
-  return argc > 1 ? std::atof(argv[1]) : def;
+  return argc > 1 ? positional_arg<double>(argv, 1, "duration") : def;
 }
 
 /// Parses `argv[2]` as a seed override.
 inline std::uint64_t seed_arg(int argc, char** argv, std::uint64_t def = 42) {
-  return argc > 2 ? std::strtoull(argv[2], nullptr, 10) : def;
+  return argc > 2 ? positional_arg<std::uint64_t>(argv, 2, "seed") : def;
 }
 
 /// Runs an already-constructed experiment, echoing progress to stderr so

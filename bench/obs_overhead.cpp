@@ -7,9 +7,7 @@
 // same binary — once with every subsystem bound into the metric registry,
 // once with the hooks left dormant (null-pointer no-ops) — and reports the
 // wall-clock delta.  It also microbenchmarks the individual primitives
-// (counter inc, gauge set, histogram observe, scoped timer), and prints the
-// compile mode: in a DCT_OBS=OFF build the macro sites vanish entirely, so
-// the dormant floor measured here is an upper bound on that build's cost.
+// (counter inc, gauge set, histogram observe, scoped timer).
 //
 // Pass/fail line: live instrumentation must cost < 5% wall clock.
 #include <algorithm>
@@ -24,7 +22,6 @@
 #include "core/scenario.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "trace/codec.h"
 
 namespace {
 
@@ -32,9 +29,6 @@ double run_once(double duration, std::uint64_t seed, bool bind) {
   dct::ScenarioConfig cfg = dct::scenarios::canonical(duration, seed);
   cfg.name = bind ? "canonical" : "canonical_dormant";
   cfg.obs_bind_metrics = bind;
-  // The codec binding is module-level; make sure a previous bound run does
-  // not leak live codec metrics into the dormant one.
-  dct::bind_codec_metrics(nullptr);
   auto exp = dct::ClusterExperiment(cfg);
   exp.run();
   if (bind) dct::bench::write_manifest(exp, "obs_overhead");
@@ -59,10 +53,6 @@ int main(int argc, char** argv) {
   constexpr int kReps = 3;
 
   std::cout << "=== Self-instrumentation overhead (Table 1 analogue) ===\n\n";
-  std::cout << "build: DCT_OBS "
-            << (dct::obs::kEnabled ? "ON (hooks compiled in)"
-                                   : "OFF (hooks compiled out)")
-            << "\n\n";
 
   // --- Primitive costs ------------------------------------------------------
   {
@@ -93,7 +83,7 @@ int main(int argc, char** argv) {
     // Scoped timer includes two steady_clock reads, the dominant cost.
     t.row({"scoped wall timer (bound)",
            dct::TextTable::num(ns_per_op(1'000'000, [&](std::int64_t) {
-             DCT_OBS_SCOPED_TIMER(timer, h);
+             const dct::obs::ScopedTimer timer(h);
            }))});
     t.print(std::cout);
     std::cout << '\n';
@@ -126,7 +116,5 @@ int main(int argc, char** argv) {
       "small enough to leave on continuously",
       dct::TextTable::pct(overhead) + (overhead < 0.05 ? " (PASS: < 5%)"
                                                        : " (FAIL: >= 5%)"));
-  std::cout << "\nnote: a -DDCT_OBS=OFF build compiles every hook site to "
-               "nothing;\nits cost is bounded above by the dormant row.\n";
   return overhead < 0.05 ? 0 : 1;
 }

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -39,9 +40,10 @@ struct Options {
   std::string scenario = "canonical";
   double duration = 300.0;
   std::uint64_t seed = 42;
-  double jobs_per_second = -1;  // <0: keep preset
-  std::int32_t racks = -1;
-  std::int32_t servers_per_rack = -1;
+  // Unset keeps the preset; a given value goes to the library's checks.
+  std::optional<double> jobs_per_second;
+  std::optional<std::int32_t> racks;
+  std::optional<std::int32_t> servers_per_rack;
   std::string csv_flows;
   std::string csv_links;
   std::string checkpoint_dir;
@@ -154,9 +156,9 @@ dct::ScenarioConfig make_config(const Options& opt) {
   } else {
     usage();
   }
-  if (opt.jobs_per_second >= 0) cfg.workload.jobs_per_second = opt.jobs_per_second;
-  if (opt.racks > 0) cfg.topology.racks = opt.racks;
-  if (opt.servers_per_rack > 0) cfg.topology.servers_per_rack = opt.servers_per_rack;
+  if (opt.jobs_per_second) cfg.workload.jobs_per_second = *opt.jobs_per_second;
+  if (opt.racks) cfg.topology.racks = *opt.racks;
+  if (opt.servers_per_rack) cfg.topology.servers_per_rack = *opt.servers_per_rack;
   cfg.checkpoint.dir = opt.checkpoint_dir;
   return cfg;
 }

@@ -1,10 +1,6 @@
 #include "analysis/analysis_obs.h"
 
-#include "obs/metrics.h"
-
 namespace dct {
-
-#if DCT_OBS_ENABLED
 
 namespace detail {
 AnalysisMetrics g_analysis_metrics;
@@ -16,19 +12,13 @@ void bind_analysis_metrics(obs::Registry* registry) {
     return;
   }
   detail::g_analysis_metrics.tm_build_wall_ns =
-      registry->counter("analysis", "tm_build_wall_ns", "ns");
+      registry->histogram("analysis", "tm_build_wall_ns", "ns");
   detail::g_analysis_metrics.util_build_wall_ns =
-      registry->counter("analysis", "util_build_wall_ns", "ns");
+      registry->histogram("analysis", "util_build_wall_ns", "ns");
   detail::g_analysis_metrics.congestion_wall_ns =
-      registry->counter("analysis", "congestion_wall_ns", "ns");
+      registry->histogram("analysis", "congestion_wall_ns", "ns");
   detail::g_analysis_metrics.flowstats_wall_ns =
-      registry->counter("analysis", "flowstats_wall_ns", "ns");
+      registry->histogram("analysis", "flowstats_wall_ns", "ns");
 }
-
-#else
-
-void bind_analysis_metrics(obs::Registry* /*registry*/) {}
-
-#endif
 
 }  // namespace dct

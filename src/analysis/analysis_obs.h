@@ -4,8 +4,8 @@
 // are free functions, so — like the trace codec (trace/codec.h) — their
 // instrumentation is bound at module level: one registry at a time, the
 // last bound wins, nullptr unbinds.  The metrics are per-stage wall-clock
-// totals (docs/METRICS.md, subsystem "analysis") that show where a run's
-// analysis time went.
+// histograms (docs/METRICS.md, subsystem "analysis") that show where a run's
+// analysis time went and how many calls each stage took.
 #pragma once
 
 #include "obs/obs.h"
@@ -14,23 +14,21 @@ namespace dct {
 
 /// Registers the analysis stage timers on `registry` and starts feeding
 /// them from every traffic-matrix / congestion / flow-statistics call.
-/// Pass nullptr to unbind.  No-op in a DCT_OBS=OFF build.
+/// Pass nullptr to unbind.
 void bind_analysis_metrics(obs::Registry* registry);
 
-#if DCT_OBS_ENABLED
 namespace detail {
 
 /// Bound instruments (null when unbound); internal to the analysis layer.
 struct AnalysisMetrics {
-  obs::Counter* tm_build_wall_ns = nullptr;
-  obs::Counter* util_build_wall_ns = nullptr;
-  obs::Counter* congestion_wall_ns = nullptr;
-  obs::Counter* flowstats_wall_ns = nullptr;
+  obs::Histogram* tm_build_wall_ns = nullptr;
+  obs::Histogram* util_build_wall_ns = nullptr;
+  obs::Histogram* congestion_wall_ns = nullptr;
+  obs::Histogram* flowstats_wall_ns = nullptr;
 };
 
 extern AnalysisMetrics g_analysis_metrics;
 
 }  // namespace detail
-#endif
 
 }  // namespace dct

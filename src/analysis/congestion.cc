@@ -34,9 +34,7 @@ LinkUtilizationMap utilization_from_trace(const ClusterTrace& trace, const Topol
   // The bin count is cast to size_t; an out-of-range cast is undefined.
   require(trace.duration() / bin_width < 0x1p63,
           "utilization_from_trace: duration / bin_width overflows the bin count");
-#if DCT_OBS_ENABLED
-  obs::WallNsCounter obs_timer(detail::g_analysis_metrics.util_build_wall_ns);
-#endif
+  const obs::ScopedTimer obs_timer(detail::g_analysis_metrics.util_build_wall_ns);
   LinkUtilizationMap out;
   out.bin_width = bin_width;
   const auto bins = std::max<std::size_t>(
@@ -88,9 +86,7 @@ double LinkCongestion::total_hot_seconds() const noexcept {
 CongestionReport congestion_report(const LinkUtilizationMap& util, const Topology& topo,
                                    double threshold) {
   require(threshold > 0 && threshold <= 1.5, "congestion_report: odd threshold");
-#if DCT_OBS_ENABLED
-  obs::WallNsCounter obs_timer(detail::g_analysis_metrics.congestion_wall_ns);
-#endif
+  const obs::ScopedTimer obs_timer(detail::g_analysis_metrics.congestion_wall_ns);
   CongestionReport out;
   out.threshold = threshold;
 

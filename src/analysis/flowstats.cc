@@ -11,9 +11,7 @@
 namespace dct {
 
 FlowDurationStats flow_duration_stats(const ClusterTrace& trace) {
-#if DCT_OBS_ENABLED
-  obs::WallNsCounter obs_timer(detail::g_analysis_metrics.flowstats_wall_ns);
-#endif
+  const obs::ScopedTimer obs_timer(detail::g_analysis_metrics.flowstats_wall_ns);
   FlowDurationStats out;
   for (const SocketFlowLog& f : trace.flows()) {
     if (f.truncated) continue;  // lifetime unknown; excluding avoids bias
@@ -48,9 +46,7 @@ void collect_gaps(std::vector<double>& starts, std::vector<double>& gaps) {
 
 InterArrivalStats inter_arrival_stats(const ClusterTrace& trace, const Topology& topo,
                                       ArrivalScope scope) {
-#if DCT_OBS_ENABLED
-  obs::WallNsCounter obs_timer(detail::g_analysis_metrics.flowstats_wall_ns);
-#endif
+  const obs::ScopedTimer obs_timer(detail::g_analysis_metrics.flowstats_wall_ns);
   std::vector<double> gaps;
 
   if (scope == ArrivalScope::kCluster) {
@@ -223,9 +219,7 @@ PeriodicityScore inter_arrival_periodicity(const InterArrivalStats& stats,
 }
 
 FlowSizeStats flow_size_stats(const ClusterTrace& trace) {
-#if DCT_OBS_ENABLED
-  obs::WallNsCounter obs_timer(detail::g_analysis_metrics.flowstats_wall_ns);
-#endif
+  const obs::ScopedTimer obs_timer(detail::g_analysis_metrics.flowstats_wall_ns);
   FlowSizeStats out;
   for (const SocketFlowLog& f : trace.flows()) {
     if (f.bytes <= 0 || f.truncated) continue;

@@ -83,9 +83,7 @@ std::vector<SparseTm> build_tm_series(const ClusterTrace& trace, const Topology&
   // The window count is cast to size_t; an out-of-range cast is undefined.
   require(trace.duration() / window < 0x1p63,
           "build_tm_series: duration / window overflows the window count");
-#if DCT_OBS_ENABLED
-  obs::WallNsCounter obs_timer(detail::g_analysis_metrics.tm_build_wall_ns);
-#endif
+  const obs::ScopedTimer obs_timer(detail::g_analysis_metrics.tm_build_wall_ns);
   const auto n_windows =
       static_cast<std::size_t>(std::ceil(trace.duration() / window));
   const std::int32_t n =
@@ -296,9 +294,7 @@ std::vector<SparseTm> build_tm_series_gap_aware(const ClusterTrace& trace,
 SparseTm build_tm(const ClusterTrace& trace, const Topology& topo, TimeSec t0,
                   TimeSec window, TmScope scope) {
   require(window > 0, "build_tm: window must be > 0");
-#if DCT_OBS_ENABLED
-  obs::WallNsCounter obs_timer(detail::g_analysis_metrics.tm_build_wall_ns);
-#endif
+  const obs::ScopedTimer obs_timer(detail::g_analysis_metrics.tm_build_wall_ns);
   const std::int32_t n =
       scope == TmScope::kServer ? topo.server_count() : topo.rack_count();
   const TimeSec t1 = t0 + window;

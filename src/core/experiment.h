@@ -121,8 +121,7 @@ class ClusterExperiment {
 
   // --- Self-instrumentation (src/obs, docs/METRICS.md) --------------------
   /// The run's metric registry.  run() binds every subsystem into it; all
-  /// values are final once run() returns.  In a DCT_OBS=OFF build the
-  /// registry exists but stays empty.
+  /// values are final once run() returns.
   [[nodiscard]] const obs::Registry& registry() const noexcept { return registry_; }
   /// Wall-clock seconds spent inside run() (0 before the run).
   [[nodiscard]] double wall_seconds() const noexcept { return wall_seconds_; }

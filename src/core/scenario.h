@@ -57,9 +57,9 @@ struct ScenarioConfig {
   /// installed and the run is byte-identical to a build without the
   /// subsystem.
   ckpt::CheckpointConfig checkpoint;
-  /// When false, run() skips bind_metrics on every subsystem, so the
-  /// DCT_OBS macro sites stay dormant null-pointer checks and the manifest
-  /// carries no metrics.  bench/obs_overhead flips this to measure live
+  /// When false, run() skips bind_metrics on every subsystem, so every hook
+  /// site stays a dormant null-pointer check and the manifest carries no
+  /// metrics.  bench/obs_overhead flips this to measure live
   /// instrumentation against its dormant floor; leave it on otherwise.
   bool obs_bind_metrics = true;
 };

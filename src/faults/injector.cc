@@ -36,7 +36,6 @@ void FaultInjector::inject(const FaultEvent& e) {
     DCT_OBS_INC(m_skipped_);
     return;
   }
-#if DCT_OBS_ENABLED
   switch (e.device) {
     case DeviceKind::kLink: DCT_OBS_INC(m_link_incidents_); break;
     case DeviceKind::kServer: DCT_OBS_INC(m_server_incidents_); break;
@@ -44,7 +43,6 @@ void FaultInjector::inject(const FaultEvent& e) {
     case DeviceKind::kAgg: DCT_OBS_INC(m_agg_incidents_); break;
   }
   DCT_OBS_OBSERVE(m_repair_s_, e.end - e.start);
-#endif
   set_device_up(e, false);
   // Workload reacts first (epoch bumps, re-execution, re-replication) so
   // its recovery flows route around the fault; then the simulator sweeps
@@ -276,7 +274,6 @@ void FaultInjector::maybe_trip_cascade(LinkId link, double utilization) {
 }
 
 void FaultInjector::bind_metrics(obs::Registry& registry) {
-#if DCT_OBS_ENABLED
   m_injected_ = registry.counter("faults", "injected", "incidents");
   m_skipped_ = registry.counter("faults", "skipped", "incidents");
   m_link_incidents_ = registry.counter("faults", "link_incidents", "incidents");
@@ -292,9 +289,6 @@ void FaultInjector::bind_metrics(obs::Registry& registry) {
   m_cascade_trips_ = registry.counter("faults", "cascade_trips", "trips");
   m_cascades_suppressed_ = registry.counter("faults", "cascades_suppressed", "trips");
   m_cascade_depth_ = registry.gauge("faults", "cascade_max_depth", "depth");
-#else
-  (void)registry;
-#endif
 }
 
 void FaultInjector::install(std::vector<FaultEvent> schedule) {

@@ -103,8 +103,7 @@ class FaultInjector {
   }
 
   /// Registers the injector's metrics (docs/METRICS.md, subsystem "faults")
-  /// and starts feeding them.  Optional; call before install().  No-op in a
-  /// DCT_OBS=OFF build.
+  /// and starts feeding them.  Optional; call before install().
   void bind_metrics(obs::Registry& registry);
 
  private:

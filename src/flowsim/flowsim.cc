@@ -239,7 +239,7 @@ void FlowSim::recompute_rates() {
   ++recomputes_;
   DCT_OBS_INC(m_recomputes_);
   DCT_OBS_SET(m_active_flows_, active_.size());
-  DCT_OBS_SCOPED_TIMER(obs_timer, m_recompute_ns_);
+  const obs::ScopedTimer obs_timer(m_recompute_ns_);
   last_recompute_ = now_;
   dirty_ = false;
   // Every active flow's generation moves below, so every queued completion
@@ -513,7 +513,7 @@ void FlowSim::run() {
 FlowSim::NetworkChangeStats FlowSim::handle_network_change() {
   NetworkChangeStats stats;
   if (net_ == nullptr || active_.empty()) return stats;
-  DCT_OBS_SCOPED_TIMER(obs_timer, m_network_change_ns_);
+  const obs::ScopedTimer obs_timer(m_network_change_ns_);
 
   // Snapshot the ids first: killing a flow swap-removes from active_.
   std::vector<std::int32_t> ids;
@@ -554,7 +554,6 @@ FlowSim::NetworkChangeStats FlowSim::handle_network_change() {
 }
 
 void FlowSim::bind_metrics(obs::Registry& registry) {
-#if DCT_OBS_ENABLED
   m_flows_started_ = registry.counter("flowsim", "flows_started", "flows");
   m_flows_completed_ = registry.counter("flowsim", "flows_completed", "flows");
   m_flows_failed_ = registry.counter("flowsim", "flows_failed", "flows");
@@ -568,9 +567,6 @@ void FlowSim::bind_metrics(obs::Registry& registry) {
   m_active_flows_ = registry.gauge("flowsim", "active_flows", "flows");
   m_recompute_ns_ = registry.histogram("flowsim", "recompute_wall_ns", "ns");
   m_network_change_ns_ = registry.histogram("flowsim", "network_change_wall_ns", "ns");
-#else
-  (void)registry;
-#endif
 }
 
 void FlowSim::set_link_capacity_factor(LinkId link, double factor) {

@@ -242,7 +242,7 @@ class FlowSim {
 
   /// Registers this simulator's metrics (see docs/METRICS.md, subsystem
   /// "flowsim") and starts feeding them.  Call before run(); optional — an
-  /// unbound simulator records nothing.  No-op in a DCT_OBS=OFF build.
+  /// unbound simulator records nothing.
   void bind_metrics(obs::Registry& registry);
 
  private:

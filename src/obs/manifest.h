@@ -22,7 +22,7 @@ namespace dct::obs {
 
 /// Compile-time facts about the binary that produced a run.
 struct BuildInfo {
-  bool obs_enabled = kEnabled;  ///< DCT_OBS instrumentation compiled in?
+  bool obs_enabled = kEnabled;  ///< always true; perfbench's build check reads it
   bool sanitized = false;       ///< DCT_SANITIZE build?
   std::string build_type;       ///< CMAKE_BUILD_TYPE
   std::string compiler;         ///< "GNU 12.2.0" style

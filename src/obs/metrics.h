@@ -10,9 +10,9 @@
 //
 // Hot-path cost: a Counter::inc is one add on a plain uint64 member; a
 // Histogram::observe is a compare plus two adds.  Neither allocates.  The
-// instrumentation sites themselves go through the DCT_OBS macros (obs/obs.h)
-// and vanish entirely in a -DDCT_OBS=OFF build; bench/obs_overhead.cpp is
-// the Table 1 analogue quantifying the enabled cost.
+// instrumentation sites themselves go through the DCT_OBS_* macros (obs/obs.h)
+// and obs::ScopedTimer; bench/obs_overhead.cpp is the Table 1 analogue
+// quantifying their cost.
 #pragma once
 
 #include <chrono>
@@ -114,9 +114,9 @@ class Registry {
 };
 
 /// RAII wall-clock timer: records elapsed nanoseconds into a Histogram on
-/// destruction.  Tolerates a null histogram (unbound instrumentation).
-/// Instantiate via DCT_OBS_SCOPED_TIMER so the whole thing compiles out in
-/// a -DDCT_OBS=OFF build.
+/// destruction.  Tolerates a null histogram (unbound instrumentation).  The
+/// one way to time a scope: the histogram's count is the number of timed
+/// calls, and wall-clock values stay out of Registry::scalar_snapshot().
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram* h) noexcept
@@ -134,30 +134,6 @@ class ScopedTimer {
 
  private:
   Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// RAII wall-clock accumulator: adds elapsed nanoseconds to a Counter on
-/// destruction.  Tolerates a null counter.  Unlike ScopedTimer this feeds a
-/// plain counter, the shape used for per-stage wall totals (trace decode,
-/// TM build, ...) where a sum is wanted rather than a distribution.
-class WallNsCounter {
- public:
-  explicit WallNsCounter(Counter* c) noexcept
-      : counter_(c), start_(c != nullptr ? std::chrono::steady_clock::now()
-                                         : std::chrono::steady_clock::time_point{}) {}
-  WallNsCounter(const WallNsCounter&) = delete;
-  WallNsCounter& operator=(const WallNsCounter&) = delete;
-  ~WallNsCounter() {
-    if (counter_ == nullptr) return;
-    counter_->inc(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count()));
-  }
-
- private:
-  Counter* counter_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -1,45 +1,27 @@
-// Compile-out-able instrumentation macros (the DCT_OBS switch).
+// Hot-path instrumentation macros.
 //
 // The paper's first contribution is instrumentation whose overhead it
-// quantifies (Table 1); this header is the analogous switch for *our own*
-// instrumentation.  Every hot-path observation in the library goes through
-// these macros, so a build configured with -DDCT_OBS=OFF (which defines
-// DCT_OBS_ENABLED=0 globally) compiles them to nothing: no branch, no null
-// check, no <chrono> call.  The registry / manifest machinery itself stays
-// compiled in both modes — registering a handful of metrics once per run is
-// not a hot path, and manifests (config, seed, build flags, wall time) are
-// still useful without live metric values.
+// quantifies (Table 1) and finds small enough to leave on; the library holds
+// its own instrumentation to the same bar, so there is one build and the
+// hooks are always compiled in.  Every hot-path observation in the library
+// goes through these macros.
 //
 // Convention: instrumented classes hold plain pointers to obs::Counter /
 // obs::Gauge / obs::Histogram members, null until bind_metrics(registry) is
-// called.  The macros tolerate null, so an unbound object costs one
-// predictable branch per site when DCT_OBS is on, and zero when off.
+// called.  The macros tolerate null, so an unbound (dormant) object costs one
+// predictable branch per site; bench/obs_overhead measures the live cost
+// against that dormant floor.  Scopes are timed with obs::ScopedTimer.
 #pragma once
-
-#ifndef DCT_OBS_ENABLED
-#define DCT_OBS_ENABLED 1
-#endif
-
-namespace dct::obs {
-/// Compile-time view of the switch, for code (and tests) that wants to
-/// branch on the build mode without touching the preprocessor.
-inline constexpr bool kEnabled = DCT_OBS_ENABLED != 0;
-
-// Forward declarations so instrumented headers can hold metric pointers in
-// both build modes without pulling in the full registry.
-class Counter;
-class Gauge;
-class Histogram;
-class Registry;
-}  // namespace dct::obs
-
-#if DCT_OBS_ENABLED
 
 #include "obs/metrics.h"  // IWYU pragma: export
 
-/// Expands its arguments only when instrumentation is compiled in.
-#define DCT_OBS_ONLY(...) __VA_ARGS__
-/// Increments counter pointer `m` by 1 (no-op when null / disabled).
+namespace dct::obs {
+/// Always true: the hooks are compiled into every build.  Kept because
+/// perfbench's build check reads it (with BuildInfo::obs_enabled).
+inline constexpr bool kEnabled = true;
+}  // namespace dct::obs
+
+/// Increments counter pointer `m` by 1 (no-op when null).
 #define DCT_OBS_INC(m)                 \
   do {                                 \
     if ((m) != nullptr) (m)->inc();    \
@@ -59,26 +41,3 @@ class Registry;
   do {                                                         \
     if ((h) != nullptr) (h)->observe(static_cast<double>(v));  \
   } while (0)
-/// Declares a scoped wall-clock timer feeding histogram pointer `h` (ns).
-#define DCT_OBS_SCOPED_TIMER(var, h) ::dct::obs::ScopedTimer var{(h)}
-
-#else  // DCT_OBS_ENABLED == 0: every site compiles to nothing.
-
-#define DCT_OBS_ONLY(...)
-#define DCT_OBS_INC(m) \
-  do {                 \
-  } while (0)
-#define DCT_OBS_ADD(m, d) \
-  do {                    \
-  } while (0)
-#define DCT_OBS_SET(g, v) \
-  do {                    \
-  } while (0)
-#define DCT_OBS_OBSERVE(h, v) \
-  do {                        \
-  } while (0)
-#define DCT_OBS_SCOPED_TIMER(var, h) \
-  do {                               \
-  } while (0)
-
-#endif  // DCT_OBS_ENABLED

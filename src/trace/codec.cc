@@ -9,36 +9,26 @@
 namespace dct {
 namespace {
 
-#if DCT_OBS_ENABLED
 // Module-level metric handles (the codec entry points are free functions).
 struct CodecMetrics {
-  obs::Counter* encode_calls = nullptr;
-  obs::Counter* encode_wall_ns = nullptr;
+  obs::Histogram* encode_wall_ns = nullptr;
   obs::Counter* encoded_bytes = nullptr;
-  obs::Counter* decode_calls = nullptr;
-  obs::Counter* decode_wall_ns = nullptr;
+  obs::Histogram* decode_wall_ns = nullptr;
   obs::Counter* decoded_bytes = nullptr;
 };
 CodecMetrics g_codec_metrics;
-#endif  // DCT_OBS_ENABLED
 
 }  // namespace
 
 void bind_codec_metrics(obs::Registry* registry) {
-#if DCT_OBS_ENABLED
   if (registry == nullptr) {
     g_codec_metrics = CodecMetrics{};
     return;
   }
-  g_codec_metrics.encode_calls = registry->counter("trace", "encode_calls", "calls");
-  g_codec_metrics.encode_wall_ns = registry->counter("trace", "encode_wall_ns", "ns");
+  g_codec_metrics.encode_wall_ns = registry->histogram("trace", "encode_wall_ns", "ns");
   g_codec_metrics.encoded_bytes = registry->counter("trace", "encoded_bytes", "bytes");
-  g_codec_metrics.decode_calls = registry->counter("trace", "decode_calls", "calls");
-  g_codec_metrics.decode_wall_ns = registry->counter("trace", "decode_wall_ns", "ns");
+  g_codec_metrics.decode_wall_ns = registry->histogram("trace", "decode_wall_ns", "ns");
   g_codec_metrics.decoded_bytes = registry->counter("trace", "decoded_bytes", "bytes");
-#else
-  (void)registry;
-#endif
 }
 
 void ByteWriter::uvarint(std::uint64_t v) {
@@ -252,10 +242,7 @@ std::size_t raw_encoding_size(const ServerLog& log) noexcept {
 }
 
 std::vector<std::uint8_t> encode_trace(const ClusterTrace& trace) {
-#if DCT_OBS_ENABLED
-  if (g_codec_metrics.encode_calls != nullptr) g_codec_metrics.encode_calls->inc();
-  obs::WallNsCounter obs_timer(g_codec_metrics.encode_wall_ns);
-#endif
+  const obs::ScopedTimer obs_timer(g_codec_metrics.encode_wall_ns);
   ByteWriter w;
   w.u8(kTraceMagic);
   w.u8(kTraceVersion);
@@ -343,11 +330,7 @@ std::vector<std::uint8_t> encode_trace(const ClusterTrace& trace) {
     w.u8(static_cast<std::uint8_t>(g.cause));
     w.uvarint(static_cast<std::uint64_t>(std::max<std::int32_t>(g.records_lost, 0)));
   }
-#if DCT_OBS_ENABLED
-  if (g_codec_metrics.encoded_bytes != nullptr) {
-    g_codec_metrics.encoded_bytes->inc(w.size());
-  }
-#endif
+  DCT_OBS_ADD(g_codec_metrics.encoded_bytes, w.size());
   return w.take();
 }
 
@@ -357,13 +340,8 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data) {
 
 ClusterTrace decode_trace(std::span<const std::uint8_t> data,
                           const DecodeOptions& options) {
-#if DCT_OBS_ENABLED
-  if (g_codec_metrics.decode_calls != nullptr) g_codec_metrics.decode_calls->inc();
-  if (g_codec_metrics.decoded_bytes != nullptr) {
-    g_codec_metrics.decoded_bytes->inc(data.size());
-  }
-  obs::WallNsCounter obs_timer(g_codec_metrics.decode_wall_ns);
-#endif
+  DCT_OBS_ADD(g_codec_metrics.decoded_bytes, data.size());
+  const obs::ScopedTimer obs_timer(g_codec_metrics.decode_wall_ns);
   ByteReader r(data);
   require(r.u8() == kTraceMagic, "decode_trace: bad magic");
   require(r.u8() == kTraceVersion, "decode_trace: unsupported version");

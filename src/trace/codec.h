@@ -113,7 +113,6 @@ struct DecodeOptions {
 /// starts feeding them from every encode_trace / decode_trace call.  The
 /// codec entry points are free functions, so the binding is module-level:
 /// one registry at a time (the last bound wins); pass nullptr to unbind.
-/// No-op in a DCT_OBS=OFF build.
 void bind_codec_metrics(obs::Registry* registry);
 
 }  // namespace dct

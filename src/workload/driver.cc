@@ -238,7 +238,6 @@ void WorkloadDriver::note_remote_read_duration(TimeSec duration) {
 }
 
 void WorkloadDriver::note_phase(PhaseKind kind, TimeSec duration) {
-#if DCT_OBS_ENABLED
   switch (kind) {
     case PhaseKind::kExtract: DCT_OBS_OBSERVE(m_phase_extract_s_, duration); break;
     case PhaseKind::kPartition: break;  // pipelined with extract, never recorded
@@ -246,14 +245,9 @@ void WorkloadDriver::note_phase(PhaseKind kind, TimeSec duration) {
     case PhaseKind::kCombine: DCT_OBS_OBSERVE(m_phase_combine_s_, duration); break;
     case PhaseKind::kOutput: DCT_OBS_OBSERVE(m_phase_output_s_, duration); break;
   }
-#else
-  (void)kind;
-  (void)duration;
-#endif
 }
 
 void WorkloadDriver::bind_metrics(obs::Registry& registry) {
-#if DCT_OBS_ENABLED
   m_jobs_submitted_ = registry.counter("workload", "jobs_submitted", "jobs");
   m_jobs_completed_ = registry.counter("workload", "jobs_completed", "jobs");
   m_jobs_failed_ = registry.counter("workload", "jobs_failed", "jobs");
@@ -281,9 +275,6 @@ void WorkloadDriver::bind_metrics(obs::Registry& registry) {
   m_under_replicated_ =
       registry.gauge("workload", "under_replicated_blocks", "blocks");
   m_time_to_redundancy_s_ = registry.gauge("workload", "time_to_redundancy", "s");
-#else
-  (void)registry;
-#endif
 }
 
 bool WorkloadDriver::is_server_down(ServerId s) const {

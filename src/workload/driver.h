@@ -250,7 +250,6 @@ class WorkloadDriver {
 
   /// Registers the workload's metrics (docs/METRICS.md, subsystem
   /// "workload") and starts feeding them.  Optional; call before install().
-  /// No-op in a DCT_OBS=OFF build.
   void bind_metrics(obs::Registry& registry);
 
   // --- Device-failure integration (wired up by ClusterExperiment) ---------

@@ -221,7 +221,7 @@ TEST_F(CkptTest, CheckpointingDoesNotPerturbTheTrace) {
 TEST_F(CkptTest, CheckpointedRunProcessesThePlainRunsEvents) {
   // The WAL schedules nothing: a checkpointed run is the plain run plus a
   // record tap.  60 s is long enough for a periodic checkpoint event to
-  // show.  (Under DCT_OBS=OFF the registry is empty and both sides read 0.)
+  // show.
   const auto events = [](const std::string& ckpt_dir) {
     ScenarioConfig cfg = scenarios::tiny(60.0, 11);
     cfg.checkpoint.dir = ckpt_dir;

@@ -14,6 +14,7 @@
 #include "faults/fault_domain.h"
 #include "faults/fault_schedule.h"
 #include "faults/injector.h"
+#include "testing/oracles.h"
 #include "topology/network_state.h"
 #include "trace/codec.h"
 
@@ -582,14 +583,6 @@ TEST(FaultDeterminism, FaultStormManifestIsByteIdentical) {
   // The reproducibility contract for the whole fault stack: two runs of the
   // same storm must agree on every manifest byte once the only legitimately
   // nondeterministic fields (wall-clock measurements) are removed.
-  const auto stable_manifest = [](const ClusterExperiment& exp) {
-    obs::RunManifest m = exp.manifest("faults_test");
-    m.wall_seconds = 0;
-    std::erase_if(m.metrics, [](const obs::MetricSnapshot& s) {
-      return s.full_name.find("wall_ns") != std::string::npos;
-    });
-    return m.to_json();
-  };
   ScenarioConfig cfg = scenarios::fault_storm(60.0, 13);
   // Ride the degradation layer too, so the manifest covers both schedules.
   cfg.degradations.link_capacity_rate = 0.5;
@@ -599,7 +592,8 @@ TEST(FaultDeterminism, FaultStormManifestIsByteIdentical) {
   ClusterExperiment b(cfg);
   b.run();
   EXPECT_NE(a.schedule_hash(), 0u);
-  EXPECT_EQ(stable_manifest(a), stable_manifest(b));
+  EXPECT_EQ(dct::testing::stable_manifest(a, "faults_test"),
+            dct::testing::stable_manifest(b, "faults_test"));
 }
 
 // --- Workload-level crash recovery --------------------------------------------

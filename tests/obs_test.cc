@@ -6,17 +6,20 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/flowstats.h"
 #include "common/require.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "trace/codec.h"
 
 namespace dct::obs {
 namespace {
@@ -77,8 +80,8 @@ TEST(Histogram, KeepsCountSumMeanMaxAndIsZeroWhenEmpty) {
 }
 
 TEST(Macros, TolerateUnboundPointers) {
-  // Null instrument pointers are the dormant state; every macro must be
-  // safe on them in an enabled build and compile to nothing when disabled.
+  // Null instrument pointers are the dormant state; every macro and the
+  // scoped timer must be safe on them.
   Counter* c = nullptr;
   Gauge* g = nullptr;
   Histogram* h = nullptr;
@@ -86,7 +89,7 @@ TEST(Macros, TolerateUnboundPointers) {
   DCT_OBS_ADD(c, 5);
   DCT_OBS_SET(g, 1.0);
   DCT_OBS_OBSERVE(h, 2.0);
-  { DCT_OBS_SCOPED_TIMER(timer, h); }
+  { const ScopedTimer timer(h); }
   SUCCEED();
 }
 
@@ -96,14 +99,9 @@ TEST(Macros, BoundPointersRecordWhenEnabled) {
   Histogram* h = reg.histogram("t", "h", "ns");
   DCT_OBS_INC(c);
   DCT_OBS_ADD(c, 2);
-  { DCT_OBS_SCOPED_TIMER(timer, h); }
-  if (kEnabled) {
-    EXPECT_EQ(c->value(), 3u);
-    EXPECT_EQ(h->count(), 1u);
-  } else {
-    EXPECT_EQ(c->value(), 0u);
-    EXPECT_EQ(h->count(), 0u);
-  }
+  { const ScopedTimer timer(h); }
+  EXPECT_EQ(c->value(), 3u);
+  EXPECT_EQ(h->count(), 1u);
 }
 
 TEST(Manifest, JsonGoldenIsByteStable) {
@@ -202,10 +200,31 @@ TEST(Experiment, IdenticalSeededRunsYieldIdenticalScalars) {
   };
   const auto a = run_snapshot();
   const auto b = run_snapshot();
-  if (kEnabled) {
-    ASSERT_FALSE(a.empty());
-  }
+  ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+}
+
+TEST(Experiment, StageTimersStayOutOfTheScalarSnapshot) {
+  // The codec and analysis stages are timed in wall-clock nanoseconds, which
+  // differ between identical runs.  As histograms they stay out of the
+  // seed-deterministic snapshot, and their count says how often each ran.
+  auto run_snapshot = [] {
+    auto exp = ClusterExperiment(scenarios::tiny(30.0, 11));
+    exp.run();
+    (void)encode_trace(exp.trace());
+    (void)flow_duration_stats(exp.trace());
+    std::map<std::string, std::uint64_t> calls;
+    for (const Metric* m : exp.registry().metrics()) {
+      if (m->kind == MetricKind::kHistogram) calls[m->full_name()] = m->histogram->count();
+    }
+    EXPECT_EQ(calls["trace.encode_wall_ns"], 1u);
+    EXPECT_EQ(calls["analysis.flowstats_wall_ns"], 1u);
+    // Registered, never ran.
+    EXPECT_TRUE(calls.contains("analysis.tm_build_wall_ns"));
+    EXPECT_EQ(calls["analysis.tm_build_wall_ns"], 0u);
+    return exp.registry().scalar_snapshot();
+  };
+  EXPECT_EQ(run_snapshot(), run_snapshot());
 }
 
 TEST(Experiment, ManifestDescribesTheRun) {
@@ -219,22 +238,18 @@ TEST(Experiment, ManifestDescribesTheRun) {
   EXPECT_DOUBLE_EQ(m.sim_duration_s, 30.0);
   EXPECT_GT(m.wall_seconds, 0.0);
   EXPECT_EQ(m.config.at("racks"), 4.0);
-  EXPECT_EQ(m.build.obs_enabled, kEnabled);
-  if (kEnabled) {
-    // Every always-bound subsystem shows up; faults are absent because the
-    // tiny scenario schedules none.
-    bool saw_flowsim = false, saw_workload = false, saw_trace = false;
-    for (const auto& s : m.metrics) {
-      saw_flowsim |= s.full_name.starts_with("flowsim.");
-      saw_workload |= s.full_name.starts_with("workload.");
-      saw_trace |= s.full_name.starts_with("trace.");
-    }
-    EXPECT_TRUE(saw_flowsim);
-    EXPECT_TRUE(saw_workload);
-    EXPECT_TRUE(saw_trace);
-  } else {
-    EXPECT_TRUE(m.metrics.empty());
+  EXPECT_TRUE(m.build.obs_enabled);
+  // Every always-bound subsystem shows up; faults are absent because the
+  // tiny scenario schedules none.
+  bool saw_flowsim = false, saw_workload = false, saw_trace = false;
+  for (const auto& s : m.metrics) {
+    saw_flowsim |= s.full_name.starts_with("flowsim.");
+    saw_workload |= s.full_name.starts_with("workload.");
+    saw_trace |= s.full_name.starts_with("trace.");
   }
+  EXPECT_TRUE(saw_flowsim);
+  EXPECT_TRUE(saw_workload);
+  EXPECT_TRUE(saw_trace);
 }
 
 TEST(Experiment, EventLoopStaysUnderFiveEventsPerFlow) {
@@ -247,14 +262,10 @@ TEST(Experiment, EventLoopStaysUnderFiveEventsPerFlow) {
     if (s.full_name == "flowsim.events_processed") events = s.value;
     if (s.full_name == "flowsim.flows_started") flows = s.value;
   }
-  if (kEnabled) {
-    ASSERT_GT(flows, 0);
-    // Each recompute replaces the completions queued by the one before, so
-    // superseded completions are never popped.
-    EXPECT_LT(events / flows, 5.0);
-  } else {
-    EXPECT_EQ(events, -1);
-  }
+  ASSERT_GT(flows, 0);
+  // Each recompute replaces the completions queued by the one before, so
+  // superseded completions are never popped.
+  EXPECT_LT(events / flows, 5.0);
 }
 
 TEST(Experiment, ManifestBeforeRunThrows) {
