@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/fsio.h"
 #include "common/table.h"
 #include "core/scenario.h"
 #include "trace/codec.h"
@@ -111,7 +112,7 @@ int main(int argc, char** argv) {
   std::string csv = "mode,wall_seconds\n";
   csv += "off," + dct::TextTable::num(best_off) + "\n";
   csv += "on," + dct::TextTable::num(best_on) + "\n";
-  dct::bench::atomic_write("checkpoint_overhead.csv", csv);
+  dct::atomic_write_file("checkpoint_overhead.csv", csv);
   std::cout << "\nwrote checkpoint_overhead.csv\n";
 
   if (!identical) {

@@ -10,11 +10,16 @@
 // engineering — keeps goodput near line rate at every fan-in.
 #include <iostream>
 
+#include "bench_util.h"
 #include "common/table.h"
 #include "packetsim/incast_sim.h"
 
 int main(int argc, char** argv) {
-  const dct::Bytes sru = argc > 1 ? std::atoll(argv[1]) : 256 * 1024;
+  dct::Bytes sru = 256 * 1024;
+  if (argc > 1) {
+    sru = dct::bench::positional_arg<dct::Bytes>(argv, 1, "transfer size");
+    if (sru <= 0) dct::bench::bad_value(argv, 1, "transfer size");
+  }
 
   std::cout << "=== Section 4.4: TCP incast collapse vs the connection cap ===\n"
             << "(1 Gbps bottleneck, 64-packet queue, 200 us RTT, 200 ms min RTO,\n"

@@ -131,8 +131,7 @@ struct TmCoverageOptions {
 /// The exact count is what makes this safe where estimators that scale by
 /// gap geometry are not: a gap over an idle stretch has an empty ledger and
 /// triggers no correction, so no mass is ever invented where nothing was
-/// lost.  Gaps lacking counts (records_lost == 0, e.g. decoder-salvage
-/// gaps) degrade to the naive estimate.
+/// lost.
 /// Pass 1 is build_tm_series; pass 2 settles ledgers in ascending server
 /// order straight into its matrices.
 [[nodiscard]] std::vector<SparseTm> build_tm_series_gap_aware(

@@ -172,8 +172,7 @@ void TraceWal::scan_existing(const std::vector<std::uint8_t>& bytes) {
   valid_bytes_ = header.size();
   while (!r.done()) {
     // Each frame is accepted as a unit; any underrun, unknown tag or
-    // checksum mismatch marks the torn tail and ends the scan — the
-    // salvage rule of decode_server_log_salvage applied to the spool.
+    // checksum mismatch marks the torn tail and ends the scan.
     try {
       const std::uint8_t tag = r.u8();
       require(tag == kTagRecord || tag == kTagFinal, "TraceWal: bad frame tag");

@@ -10,10 +10,10 @@
 // one write plus one fdatasync, the WAL's only durability barrier, so a
 // crash loses at most one buffer of frames.  A crash can cut the file
 // anywhere; on reopen the scan accepts the longest prefix of whole,
-// checksum-valid frames and truncates the torn tail — the same salvage rule
-// the trace codec applies to truncated uploads, moved down to the
-// durability layer.  A finalize marker closes a completed run's WAL; a
-// reopened WAL without one is, by definition, a crashed run.
+// checksum-valid frames and truncates the torn tail: a frame the crash cut
+// short was never durable, so dropping it loses nothing a drain promised.
+// A finalize marker closes a completed run's WAL; a reopened WAL without one
+// is, by definition, a crashed run.
 #pragma once
 
 #include <cstdint>

@@ -109,25 +109,13 @@ FlowId FlowSim::start_flow(const FlowSpec& spec, CompletionCallback on_complete)
   // the probabilistic congestion model — and without an rng draw, so the
   // no-fault stream of coin flips is untouched.
   if (!routed) {
-    FlowRecord rec;
-    rec.id = id;
-    rec.src = spec.src;
-    rec.dst = spec.dst;
-    rec.bytes_requested = spec.bytes;
-    rec.bytes_sent = 0;
-    rec.start = now_;
-    rec.end = now_;
+    FlowRecord rec = base_record(f);
     rec.failed = true;
-    rec.job = spec.job;
-    rec.phase = spec.phase;
-    rec.kind = spec.kind;
     ++failed_;
     ++fault_killed_;
     DCT_OBS_INC(m_flows_failed_);
     DCT_OBS_INC(m_fault_kills_);
-    if (config_.keep_records) records_.push_back(rec);
-    if (record_sink_) record_sink_(rec);
-    if (record_tap_) record_tap_(rec);
+    emit(rec);
     if (f.on_complete && now_ < config_.end_time) f.on_complete(*this, rec);
     return id;
   }
@@ -152,24 +140,12 @@ FlowId FlowSim::start_flow(const FlowSpec& spec, CompletionCallback on_complete)
     }
   }
   if (connect_failed) {
-    FlowRecord rec;
-    rec.id = id;
-    rec.src = spec.src;
-    rec.dst = spec.dst;
-    rec.bytes_requested = spec.bytes;
-    rec.bytes_sent = 0;
-    rec.start = now_;
-    rec.end = now_;
+    FlowRecord rec = base_record(f);
     rec.failed = true;
-    rec.job = spec.job;
-    rec.phase = spec.phase;
-    rec.kind = spec.kind;
     ++failed_;
     DCT_OBS_INC(m_flows_failed_);
     DCT_OBS_INC(m_connect_failures_);
-    if (config_.keep_records) records_.push_back(rec);
-    if (record_sink_) record_sink_(rec);
-    if (record_tap_) record_tap_(rec);
+    emit(rec);
     if (f.on_complete) f.on_complete(*this, rec);
     return id;
   }
@@ -177,21 +153,10 @@ FlowId FlowSim::start_flow(const FlowSpec& spec, CompletionCallback on_complete)
   // Degenerate flows (zero bytes, loopback, or started while draining the
   // horizon) finalize immediately without entering the network.
   if (spec.bytes == 0 || f.path.empty() || now_ >= config_.end_time) {
-    FlowRecord rec;
-    rec.id = id;
-    rec.src = spec.src;
-    rec.dst = spec.dst;
-    rec.bytes_requested = spec.bytes;
+    FlowRecord rec = base_record(f);
     rec.bytes_sent = (f.path.empty() && now_ < config_.end_time) ? spec.bytes : 0;
-    rec.start = now_;
-    rec.end = now_;
     rec.truncated = now_ >= config_.end_time && spec.bytes > 0 && !f.path.empty();
-    rec.job = spec.job;
-    rec.phase = spec.phase;
-    rec.kind = spec.kind;
-    if (config_.keep_records) records_.push_back(rec);
-    if (record_sink_) record_sink_(rec);
-    if (record_tap_) record_tap_(rec);
+    emit(rec);
     // No completion callback while draining: a callback that immediately
     // starts another flow would otherwise loop forever at the horizon.
     if (f.on_complete && now_ < config_.end_time) f.on_complete(*this, rec);
@@ -391,26 +356,37 @@ void FlowSim::recompute_rates() {
   std::make_heap(completions_.begin(), completions_.end(), std::greater<>{});
 }
 
-void FlowSim::finalize_flow(std::size_t slot, bool failed, bool truncated) {
-  ensure(slot < active_.size(), "finalize_flow: bad slot");
-  ActiveFlow& f = active_[slot];
-  deposit(f, now_);
-
+FlowRecord FlowSim::base_record(const ActiveFlow& f) const {
   FlowRecord rec;
   rec.id = f.id;
   rec.src = f.spec.src;
   rec.dst = f.spec.dst;
   rec.bytes_requested = f.spec.bytes;
-  const double sent = static_cast<double>(f.spec.bytes) - f.remaining;
-  rec.bytes_sent = std::clamp<Bytes>(static_cast<Bytes>(std::llround(sent)), 0, f.spec.bytes);
-  if (!failed && !truncated) rec.bytes_sent = f.spec.bytes;
   rec.start = f.start;
   rec.end = now_;
-  rec.failed = failed;
-  rec.truncated = truncated;
   rec.job = f.spec.job;
   rec.phase = f.spec.phase;
   rec.kind = f.spec.kind;
+  return rec;
+}
+
+void FlowSim::emit(const FlowRecord& rec) {
+  if (config_.keep_records) records_.push_back(rec);
+  if (record_sink_) record_sink_(rec);
+  if (record_tap_) record_tap_(rec);
+}
+
+void FlowSim::finalize_flow(std::size_t slot, bool failed, bool truncated) {
+  ensure(slot < active_.size(), "finalize_flow: bad slot");
+  ActiveFlow& f = active_[slot];
+  deposit(f, now_);
+
+  FlowRecord rec = base_record(f);
+  const double sent = static_cast<double>(f.spec.bytes) - f.remaining;
+  rec.bytes_sent = std::clamp<Bytes>(static_cast<Bytes>(std::llround(sent)), 0, f.spec.bytes);
+  if (!failed && !truncated) rec.bytes_sent = f.spec.bytes;
+  rec.failed = failed;
+  rec.truncated = truncated;
 
   if (failed) {
     ++failed_;
@@ -435,9 +411,7 @@ void FlowSim::finalize_flow(std::size_t slot, bool failed, bool truncated) {
   dirty_ = true;
   if (now_ < config_.end_time) schedule_recompute();
 
-  if (config_.keep_records) records_.push_back(rec);
-  if (record_sink_) record_sink_(rec);
-  if (record_tap_) record_tap_(rec);
+  emit(rec);
   if (cb && !truncated) cb(*this, rec);
 }
 

@@ -289,6 +289,11 @@ class FlowSim {
   void schedule_recompute();
   void recompute_rates();
   void deposit(ActiveFlow& f, TimeSec up_to);
+  // The fields a finalized record copies from its flow, ending now; the
+  // caller sets bytes_sent, failed and truncated.
+  [[nodiscard]] FlowRecord base_record(const ActiveFlow& f) const;
+  // Hands a finalized record to records(), the sink and then the tap.
+  void emit(const FlowRecord& rec);
   void finalize_flow(std::size_t slot, bool failed, bool truncated);
   void drain_horizon();
   [[nodiscard]] std::ptrdiff_t slot_of(std::int32_t flow_id) const;

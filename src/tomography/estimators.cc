@@ -11,6 +11,17 @@
 namespace dct {
 namespace {
 
+// Tomogravity's solver settings: the conjugate-gradient cap and relative
+// residual target, and the number of clamp-and-reproject rounds.
+constexpr std::int32_t kCgIterations = 200;
+constexpr double kCgTolerance = 1e-10;
+constexpr std::int32_t kProjectionRounds = 4;
+
+// sparsity_max stops once the residual falls under this share of the total
+// load.  The pick cap is what ends the greedy when a load is not finite.
+constexpr double kSparsityResidualFraction = 0.01;
+constexpr std::int32_t kSparsityMaxEntries = 1 << 20;
+
 // Measured index of ToR i's uplink / downlink, via any path that starts /
 // ends there.
 std::int32_t tor_up_idx(const RoutingMatrix& r, std::int32_t i) {
@@ -55,7 +66,6 @@ std::vector<double> normal_matvec(const RoutingMatrix& r, const std::vector<doub
 // stays inside the valid subspace.
 std::vector<double> solve_normal(const RoutingMatrix& r, const std::vector<double>& w,
                                  const std::vector<double>& rhs,
-                                 const TomogravityOptions& opts,
                                  const LinkLoadMask* mask = nullptr) {
   std::vector<double> lambda(rhs.size(), 0.0);
   std::vector<double> resid = rhs;
@@ -65,7 +75,7 @@ std::vector<double> solve_normal(const RoutingMatrix& r, const std::vector<doubl
   const double rr0 = rr;
   if (rr0 == 0) return lambda;
 
-  for (std::int32_t it = 0; it < opts.cg_iterations; ++it) {
+  for (std::int32_t it = 0; it < kCgIterations; ++it) {
     const std::vector<double> ap = normal_matvec(r, w, p, mask);
     double pap = 0;
     for (std::size_t i = 0; i < p.size(); ++i) pap += p[i] * ap[i];
@@ -77,7 +87,7 @@ std::vector<double> solve_normal(const RoutingMatrix& r, const std::vector<doubl
     }
     double rr_new = 0;
     for (double v : resid) rr_new += v * v;
-    if (rr_new <= opts.cg_tolerance * rr0) break;
+    if (rr_new <= kCgTolerance * rr0) break;
     const double beta = rr_new / rr;
     for (std::size_t i = 0; i < p.size(); ++i) p[i] = resid[i] + beta * p[i];
     rr = rr_new;
@@ -202,8 +212,7 @@ namespace {
 
 DenseTorTm tomogravity_impl(const RoutingMatrix& routing,
                             const std::vector<double>& link_loads,
-                            const LinkLoadMask* mask, const DenseTorTm& prior,
-                            const TomogravityOptions& opts) {
+                            const LinkLoadMask* mask, const DenseTorTm& prior) {
   require(prior.size() == routing.tor_count(), "tomogravity: prior size mismatch");
   const std::int32_t n = routing.tor_count();
   const std::size_t odn = static_cast<std::size_t>(n) * n;
@@ -232,7 +241,7 @@ DenseTorTm tomogravity_impl(const RoutingMatrix& routing,
   DenseTorTm x = prior;
   DenseTorTm best = prior;
   double best_norm = std::numeric_limits<double>::infinity();
-  for (std::int32_t round = 0; round <= opts.projection_rounds; ++round) {
+  for (std::int32_t round = 0; round <= kProjectionRounds; ++round) {
     // rhs = b - A x, with masked (unreliable) measurements dropped from the
     // constraint set entirely.
     const std::vector<double> ax = routing.link_loads(x);
@@ -246,11 +255,11 @@ DenseTorTm tomogravity_impl(const RoutingMatrix& routing,
       best = x;
       best_norm = rhs_norm;
     }
-    if (round == opts.projection_rounds) break;  // last iterate evaluated
+    if (round == kProjectionRounds) break;  // last iterate evaluated
     if (rhs_norm <= 1e-16 * total * total) break;
     if (rhs_norm > 4.0 * best_norm) break;  // diverging; keep the best seen
 
-    const std::vector<double> lambda = solve_normal(routing, w, rhs, opts, mask);
+    const std::vector<double> lambda = solve_normal(routing, w, rhs, mask);
     const std::vector<double> delta = routing.adjoint(lambda);
     for (std::int32_t i = 0; i < n; ++i) {
       for (std::int32_t j = 0; j < n; ++j) {
@@ -266,13 +275,13 @@ DenseTorTm tomogravity_impl(const RoutingMatrix& routing,
 }  // namespace
 
 DenseTorTm tomogravity(const RoutingMatrix& routing, const std::vector<double>& link_loads,
-                       const DenseTorTm& prior, const TomogravityOptions& opts) {
-  return tomogravity_impl(routing, link_loads, nullptr, prior, opts);
+                       const DenseTorTm& prior) {
+  return tomogravity_impl(routing, link_loads, nullptr, prior);
 }
 
-DenseTorTm tomogravity(const RoutingMatrix& routing, const std::vector<double>& link_loads,
-                       const TomogravityOptions& opts) {
-  return tomogravity(routing, link_loads, gravity_prior(routing, link_loads), opts);
+DenseTorTm tomogravity(const RoutingMatrix& routing,
+                       const std::vector<double>& link_loads) {
+  return tomogravity(routing, link_loads, gravity_prior(routing, link_loads));
 }
 
 LinkLoadMask reliable_link_mask(const RoutingMatrix& routing,
@@ -289,18 +298,16 @@ LinkLoadMask reliable_link_mask(const RoutingMatrix& routing,
 
 DenseTorTm tomogravity_masked(const RoutingMatrix& routing,
                               const std::vector<double>& link_loads,
-                              const LinkLoadMask& mask, const DenseTorTm& prior,
-                              const TomogravityOptions& opts) {
+                              const LinkLoadMask& mask, const DenseTorTm& prior) {
   require(mask.size() == link_loads.size(), "tomogravity_masked: mask size mismatch");
-  return tomogravity_impl(routing, link_loads, &mask, prior, opts);
+  return tomogravity_impl(routing, link_loads, &mask, prior);
 }
 
 DenseTorTm tomogravity_masked(const RoutingMatrix& routing,
                               const std::vector<double>& link_loads,
-                              const LinkLoadMask& mask,
-                              const TomogravityOptions& opts) {
+                              const LinkLoadMask& mask) {
   return tomogravity_masked(routing, link_loads, mask,
-                            gravity_prior_masked(routing, link_loads, mask), opts);
+                            gravity_prior_masked(routing, link_loads, mask));
 }
 
 std::vector<std::vector<double>> job_tor_activity(const ClusterTrace& trace,
@@ -333,9 +340,7 @@ std::vector<std::vector<double>> job_tor_activity(const ClusterTrace& trace,
 
 DenseTorTm job_augmented_prior(const RoutingMatrix& routing,
                                const std::vector<double>& link_loads,
-                               const std::vector<std::vector<double>>& activity,
-                               double alpha) {
-  require(alpha >= 0, "job_augmented_prior: alpha must be >= 0");
+                               const std::vector<std::vector<double>>& activity) {
   const DenseTorTm g = gravity_prior(routing, link_loads);
   const std::int32_t n = routing.tor_count();
 
@@ -349,7 +354,7 @@ DenseTorTm job_augmented_prior(const RoutingMatrix& routing,
       for (const auto& a : activity) {
         overlap += a[static_cast<std::size_t>(i)] * a[static_cast<std::size_t>(j)];
       }
-      const double v = g.at(i, j) * (1.0 + alpha * overlap);
+      const double v = g.at(i, j) * (1.0 + overlap);
       m.set(i, j, v);
       m_total += v;
     }
@@ -367,8 +372,8 @@ DenseTorTm job_augmented_prior(const RoutingMatrix& routing,
   return m;
 }
 
-DenseTorTm sparsity_max(const RoutingMatrix& routing, const std::vector<double>& link_loads,
-                        const SparsityOptions& opts) {
+DenseTorTm sparsity_max(const RoutingMatrix& routing,
+                        const std::vector<double>& link_loads) {
   require(link_loads.size() == static_cast<std::size_t>(routing.link_count()),
           "sparsity_max: load vector size mismatch");
   const std::int32_t n = routing.tor_count();
@@ -377,7 +382,7 @@ DenseTorTm sparsity_max(const RoutingMatrix& routing, const std::vector<double>&
   double total = 0;
   for (double v : resid) total += v;
   if (total <= 0) return x;
-  const double stop = opts.residual_fraction * total;
+  const double stop = kSparsityResidualFraction * total;
 
   std::int32_t entries = 0;
   for (;;) {
@@ -406,7 +411,7 @@ DenseTorTm sparsity_max(const RoutingMatrix& routing, const std::vector<double>&
       resid[static_cast<std::size_t>(l)] -= best;
     }
     for (double v : resid) remaining += v;
-    if (++entries >= opts.max_entries || remaining <= stop) break;
+    if (++entries >= kSparsityMaxEntries || remaining <= stop) break;
   }
   return x;
 }

@@ -9,7 +9,7 @@
 //    solved in closed form via conjugate gradients on A W A^T, followed by
 //    clamping to non-negativity and re-projection.
 //  * Gravity + job prior (§5.3) — the gravity prior is multiplied by
-//    1 + alpha * (shared job instances between ToR i and j), then the same
+//    1 + (shared job instances between ToR i and j), then the same
 //    least-squares adjustment runs.
 //  * Sparsity maximization (§5.2) — the paper formulates a MILP for the
 //    sparsest TM consistent with the link loads; we substitute a greedy
@@ -26,28 +26,21 @@
 
 namespace dct {
 
-/// Solver knobs for the least-squares adjustment.
-struct TomogravityOptions {
-  std::int32_t cg_iterations = 200;     ///< conjugate-gradient cap
-  double cg_tolerance = 1e-10;          ///< relative residual target
-  std::int32_t projection_rounds = 4;   ///< clamp-and-reproject rounds
-};
-
 /// The pure gravity prior from link loads: out_i = load(tor_up_i),
 /// in_j = load(tor_down_j), g_ij = out_i * in_j / total (i != j).
 [[nodiscard]] DenseTorTm gravity_prior(const RoutingMatrix& routing,
                                        const std::vector<double>& link_loads);
 
-/// Tomogravity: least-squares adjustment of `prior` to satisfy A x = b.
+/// Tomogravity: least-squares adjustment of `prior` to satisfy A x = b,
+/// solved by conjugate gradients (at most 200 iterations, to a 1e-10
+/// relative residual) inside 4 clamp-and-reproject rounds.
 [[nodiscard]] DenseTorTm tomogravity(const RoutingMatrix& routing,
                                      const std::vector<double>& link_loads,
-                                     const DenseTorTm& prior,
-                                     const TomogravityOptions& opts = {});
+                                     const DenseTorTm& prior);
 
 /// Convenience: gravity prior + adjustment in one call (§5.1's estimator).
 [[nodiscard]] DenseTorTm tomogravity(const RoutingMatrix& routing,
-                                     const std::vector<double>& link_loads,
-                                     const TomogravityOptions& opts = {});
+                                     const std::vector<double>& link_loads);
 
 // ---------------------------------------------------------------------------
 // Gap-aware estimation under a lossy SNMP plane (trace/collector_faults.h)
@@ -77,18 +70,16 @@ class SnmpCounters;
 /// Tomogravity that drops masked rows from the constraint set A x = b: the
 /// least-squares adjustment never sees the unreliable loads, so a reset
 /// counter's wrap-"corrected" garbage cannot pull the estimate.  With an
-/// all-valid mask this is exactly tomogravity(routing, loads, prior, opts).
+/// all-valid mask this is exactly tomogravity(routing, loads, prior).
 [[nodiscard]] DenseTorTm tomogravity_masked(const RoutingMatrix& routing,
                                             const std::vector<double>& link_loads,
                                             const LinkLoadMask& mask,
-                                            const DenseTorTm& prior,
-                                            const TomogravityOptions& opts = {});
+                                            const DenseTorTm& prior);
 
 /// Convenience: masked gravity prior + masked adjustment in one call.
 [[nodiscard]] DenseTorTm tomogravity_masked(const RoutingMatrix& routing,
                                             const std::vector<double>& link_loads,
-                                            const LinkLoadMask& mask,
-                                            const TomogravityOptions& opts = {});
+                                            const LinkLoadMask& mask);
 
 /// Per-job ToR activity: activity[job][tor] = number of distinct servers
 /// under `tor` that participated in the job (recovered from the app-log /
@@ -97,24 +88,18 @@ class SnmpCounters;
     const ClusterTrace& trace, const Topology& topo);
 
 /// §5.3's job-aware prior: gravity multiplied by
-///   1 + alpha * sum_k activity[k][i] * activity[k][j],
+///   1 + sum_k activity[k][i] * activity[k][j],
 /// renormalized to the gravity prior's total.
 [[nodiscard]] DenseTorTm job_augmented_prior(
     const RoutingMatrix& routing, const std::vector<double>& link_loads,
-    const std::vector<std::vector<double>>& activity, double alpha = 1.0);
+    const std::vector<std::vector<double>>& activity);
 
 /// Greedy sparsity maximization (§5.2 surrogate).  Stops when the residual
-/// drops below `residual_fraction` of the total load, when `max_entries`
-/// OD pairs have been used, or when no OD pair can absorb more volume (the
-/// greedy can strand residual that the exact MILP would place; the
-/// qualitative behaviour — solutions far sparser than the ground truth,
+/// drops below 1% of the total load, or when no OD pair can absorb more
+/// volume (the greedy can strand residual that the exact MILP would place;
+/// the qualitative behaviour — solutions far sparser than the ground truth,
 /// worse estimates than tomogravity — is preserved).
-struct SparsityOptions {
-  double residual_fraction = 0.01;
-  std::int32_t max_entries = 1 << 20;
-};
 [[nodiscard]] DenseTorTm sparsity_max(const RoutingMatrix& routing,
-                                      const std::vector<double>& link_loads,
-                                      const SparsityOptions& opts = {});
+                                      const std::vector<double>& link_loads);
 
 }  // namespace dct

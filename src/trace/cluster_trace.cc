@@ -34,7 +34,6 @@ std::string_view to_string(GapCause cause) {
     case GapCause::kCrashTailLoss: return "crash_tail_loss";
     case GapCause::kUploadLost: return "upload_lost";
     case GapCause::kUploadTruncated: return "upload_truncated";
-    case GapCause::kDecodeTruncation: return "decode_truncation";
   }
   return "unknown";
 }

@@ -157,80 +157,41 @@ std::vector<std::uint8_t> encode_server_log(const ServerLog& log) {
   return w.take();
 }
 
-namespace {
-
-// Shared body of the strict and salvaging server-log decoders.  In strict
-// mode a short payload throws; in salvage mode decoding stops at the first
-// record the payload cannot complete and reports the segment incomplete.
-bool decode_server_log_impl(std::span<const std::uint8_t> data, ServerLog& out,
-                            bool salvage) {
+ServerLog decode_server_log(std::span<const std::uint8_t> data) {
   ByteReader r(data);
-  out.flows.clear();
-  std::uint64_t n = 0;
-  if (salvage) {
-    // A collector can die before flushing anything: a zero-length payload,
-    // or one cut inside the header, holds zero whole records.  Salvage
-    // reports that as an incomplete-but-empty log (the caller records a
-    // truncation gap); only a *wrong* magic byte is structural corruption.
-    if (data.empty()) return false;
-    require(r.u8() == kLogMagic, "decode_server_log: bad magic");
-    try {
-      out.server = ServerId{static_cast<std::int32_t>(r.svarint())};
-      n = r.uvarint();
-    } catch (const Error&) {
-      return false;
-    }
-  } else {
-    require(r.u8() == kLogMagic, "decode_server_log: bad magic");
-    out.server = ServerId{static_cast<std::int32_t>(r.svarint())};
-    n = r.uvarint();
-    check_count(n, r.remaining(), "decode_server_log: flow count exceeds payload");
-  }
-  out.flows.reserve(std::min<std::uint64_t>(n, r.remaining()));
+  ServerLog out;
+  require(r.u8() == kLogMagic, "decode_server_log: bad magic");
+  out.server = ServerId{static_cast<std::int32_t>(r.svarint())};
+  const std::uint64_t n = r.uvarint();
+  check_count(n, r.remaining(), "decode_server_log: flow count exceeds payload");
+  out.flows.reserve(n);
   std::int64_t prev_end = 0;
   std::int64_t prev_flow = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     SocketFlowLog f;
     f.local = out.server;
-    std::int64_t end_us = 0;
-    try {
-      end_us = checked_add(prev_end, r.svarint(), "decode_server_log: end-time overflow");
-      const std::int64_t start_us =
-          checked_add(end_us, r.svarint(), "decode_server_log: start-time overflow");
-      f.end = ByteWriter::dequantize_time(end_us);
-      f.start = ByteWriter::dequantize_time(start_us);
-      f.flow = FlowId{static_cast<std::int32_t>(
-          checked_add(prev_flow, r.svarint(), "decode_server_log: flow-id overflow"))};
-      f.peer = ServerId{static_cast<std::int32_t>(r.svarint())};
-      f.bytes = static_cast<Bytes>(r.uvarint());
-      f.bytes_requested =
-          checked_add(f.bytes, r.svarint(), "decode_server_log: byte-count overflow");
-      require(f.bytes >= 0 && f.bytes_requested >= 0,
-              "decode_server_log: negative byte count");
-      f.job = JobId{static_cast<std::int32_t>(r.svarint())};
-      f.phase = PhaseId{static_cast<std::int32_t>(r.svarint())};
-      unpack_flags(r.u8(), f);
-    } catch (const Error&) {
-      if (salvage) return false;  // keep the whole records decoded so far
-      throw;
-    }
+    const std::int64_t end_us =
+        checked_add(prev_end, r.svarint(), "decode_server_log: end-time overflow");
+    const std::int64_t start_us =
+        checked_add(end_us, r.svarint(), "decode_server_log: start-time overflow");
+    f.end = ByteWriter::dequantize_time(end_us);
+    f.start = ByteWriter::dequantize_time(start_us);
+    f.flow = FlowId{static_cast<std::int32_t>(
+        checked_add(prev_flow, r.svarint(), "decode_server_log: flow-id overflow"))};
+    f.peer = ServerId{static_cast<std::int32_t>(r.svarint())};
+    f.bytes = static_cast<Bytes>(r.uvarint());
+    f.bytes_requested =
+        checked_add(f.bytes, r.svarint(), "decode_server_log: byte-count overflow");
+    require(f.bytes >= 0 && f.bytes_requested >= 0,
+            "decode_server_log: negative byte count");
+    f.job = JobId{static_cast<std::int32_t>(r.svarint())};
+    f.phase = PhaseId{static_cast<std::int32_t>(r.svarint())};
+    unpack_flags(r.u8(), f);
     prev_end = end_us;
     prev_flow = f.flow.value();
     out.flows.push_back(f);
   }
-  return true;
-}
-
-}  // namespace
-
-ServerLog decode_server_log(std::span<const std::uint8_t> data) {
-  ServerLog log;
-  decode_server_log_impl(data, log, /*salvage=*/false);
-  return log;
-}
-
-bool decode_server_log_salvage(std::span<const std::uint8_t> data, ServerLog& out) {
-  return decode_server_log_impl(data, out, /*salvage=*/true);
+  return out;
 }
 
 std::size_t raw_encoding_size(const ServerLog& log) noexcept {
@@ -335,11 +296,6 @@ std::vector<std::uint8_t> encode_trace(const ClusterTrace& trace) {
 }
 
 ClusterTrace decode_trace(std::span<const std::uint8_t> data) {
-  return decode_trace(data, DecodeOptions{});
-}
-
-ClusterTrace decode_trace(std::span<const std::uint8_t> data,
-                          const DecodeOptions& options) {
   DCT_OBS_ADD(g_codec_metrics.decoded_bytes, data.size());
   const obs::ScopedTimer obs_timer(g_codec_metrics.decode_wall_ns);
   ByteReader r(data);
@@ -356,47 +312,13 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data,
   // so only one server's decoded log is held at a time.  Errors surface in
   // server order: an earlier server's decode or record_flow error comes
   // before a later server's framing error.
-  const bool salvage = options.tolerate_truncation;
-  bool payload_cut = false;  // payload physically ended inside this section
   for (std::int32_t s = 0; s < servers; ++s) {
-    if (payload_cut) {
-      // Everything from this server on is gone; coverage records the loss.
-      trace.record_gap({ServerId{s}, 0.0, duration, GapCause::kDecodeTruncation});
-      continue;
-    }
-    ServerLog log;
-    bool complete = true;
-    if (salvage) {
-      std::span<const std::uint8_t> payload;
-      try {
-        const std::uint64_t len = r.uvarint();
-        const std::uint64_t take = std::min<std::uint64_t>(len, r.remaining());
-        payload_cut = take < len;
-        payload = data.subspan(r.position(), static_cast<std::size_t>(take));
-        r.skip(static_cast<std::size_t>(take));
-      } catch (const Error&) {
-        // Cut mid-length-prefix: nothing of this segment survives.
-        payload_cut = true;
-      }
-      try {
-        complete = decode_server_log_salvage(payload, log);
-      } catch (const Error&) {
-        // Structural errors inside an intact length-framed segment are
-        // corruption and propagate; a segment the payload physically cut
-        // short is just more truncation.
-        if (!payload_cut) throw;
-        log.flows.clear();
-        complete = false;
-      }
-    } else {
-      const std::uint64_t len = r.uvarint();
-      require(len <= r.remaining(), "decode_trace: truncated server log");
-      log = decode_server_log(data.subspan(r.position(), static_cast<std::size_t>(len)));
-      r.skip(static_cast<std::size_t>(len));
-    }
-    TimeSec salvaged_until = 0;
+    const std::uint64_t len = r.uvarint();
+    require(len <= r.remaining(), "decode_trace: truncated server log");
+    const ServerLog log =
+        decode_server_log(data.subspan(r.position(), static_cast<std::size_t>(len)));
+    r.skip(static_cast<std::size_t>(len));
     for (const SocketFlowLog& f : log.flows) {
-      salvaged_until = std::max(salvaged_until, f.end);
       if (f.direction != SocketDirection::kSend) continue;
       FlowRecord rec;
       rec.id = f.flow;
@@ -413,18 +335,6 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data,
       rec.kind = f.kind;
       trace.record_flow(rec);
     }
-    if (!complete) {
-      // Logs finalize in end-time order, so everything after the salvaged
-      // prefix ended at or after the last decoded record.
-      trace.record_gap(
-          {ServerId{s}, salvaged_until, duration, GapCause::kDecodeTruncation});
-    }
-  }
-  if (payload_cut) {
-    // The application-log sections were cut off with the server section;
-    // return what coverage accounting can describe instead of throwing.
-    trace.build_indices();
-    return trace;
   }
 
   const std::uint64_t n_jobs = r.uvarint();
@@ -535,7 +445,7 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data,
     g.end = r.time_us();
     g.server = ServerId{static_cast<std::int32_t>(r.svarint())};
     const std::uint8_t cause = r.u8();
-    require(cause <= static_cast<std::uint8_t>(GapCause::kDecodeTruncation),
+    require(cause <= static_cast<std::uint8_t>(GapCause::kUploadTruncated),
             "decode_trace: bad gap cause");
     g.cause = static_cast<GapCause>(cause);
     const std::uint64_t lost = r.uvarint();

@@ -71,13 +71,6 @@ class ByteReader {
 /// Inverse of encode_server_log.
 [[nodiscard]] ServerLog decode_server_log(std::span<const std::uint8_t> data);
 
-/// Salvaging variant for truncated uploads: decodes as many whole records
-/// as the payload holds and reports whether the segment was complete.
-/// Returns false (and a partial log) where decode_server_log would throw on
-/// underrun; structural corruption (bad magic, malformed varints inside an
-/// intact prefix) still throws.
-bool decode_server_log_salvage(std::span<const std::uint8_t> data, ServerLog& out);
-
 /// Size of the naive fixed-width binary dump of the same log, the baseline
 /// the compression ratio is quoted against.
 [[nodiscard]] std::size_t raw_encoding_size(const ServerLog& log) noexcept;
@@ -88,26 +81,10 @@ bool decode_server_log_salvage(std::span<const std::uint8_t> data, ServerLog& ou
 /// written as a count plus its records, even when empty.
 [[nodiscard]] std::vector<std::uint8_t> encode_trace(const ClusterTrace& trace);
 /// Inverse of encode_trace.  Any version byte other than 5 throws
-/// "decode_trace: unsupported version".
+/// "decode_trace: unsupported version"; a payload cut short, a count larger
+/// than the bytes left or an enum byte out of range throws dct::Error too.
+/// Lost uploads are modelled upstream, by the merge (trace/collector_faults.h).
 [[nodiscard]] ClusterTrace decode_trace(std::span<const std::uint8_t> data);
-
-/// Decoder hardening knobs for payloads that passed through a lossy
-/// collection pipeline (trace/collector_faults.h).
-struct DecodeOptions {
-  /// Tolerate truncated per-server segments: salvage every whole record of
-  /// a short segment, record a GapCause::kDecodeTruncation gap from the
-  /// last decoded record to the horizon, and keep going.  A payload that
-  /// ends inside the server section yields full-horizon gaps for the
-  /// missing servers and empty application-log sections instead of an
-  /// exception.  Structural corruption (bad magic/version, malformed
-  /// varints) still throws.
-  bool tolerate_truncation = false;
-};
-
-/// decode_trace with hardening options.  With default options this is
-/// exactly decode_trace(data).
-[[nodiscard]] ClusterTrace decode_trace(std::span<const std::uint8_t> data,
-                                        const DecodeOptions& options);
 
 /// Registers the codec's metrics (docs/METRICS.md, subsystem "trace") and
 /// starts feeding them from every encode_trace / decode_trace call.  The

@@ -156,8 +156,7 @@ struct DegradationRecord {
 enum class GapCause : std::uint8_t {
   kCrashTailLoss,     ///< server crash lost the buffered (unflushed) log tail
   kUploadLost,        ///< the server's whole upload never arrived
-  kUploadTruncated,   ///< upload cut short (late straggler / transit loss)
-  kDecodeTruncation   ///< the decoder salvaged a truncated per-server segment
+  kUploadTruncated    ///< upload cut short (late straggler / transit loss)
 };
 
 [[nodiscard]] std::string_view to_string(GapCause cause);
@@ -177,9 +176,7 @@ struct GapRecord {
   /// monotone sequence numbers, so the merge reads the count straight off
   /// the discontinuity.  This is the signal that lets gap-aware analysis
   /// correct only where data was actually lost — a gap over an idle span
-  /// has records_lost == 0 and triggers no correction.  Gaps synthesized
-  /// outside the merge (e.g. kDecodeTruncation) leave it 0: unknown counts
-  /// degrade conservatively to no correction.
+  /// has records_lost == 0 and triggers no correction.
   std::int32_t records_lost = 0;
 };
 

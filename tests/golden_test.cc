@@ -282,14 +282,5 @@ TEST(GoldenAnalysis, GapAwareTmIsPinned) {
   EXPECT_EQ(digest(10.0, TmScope::kToR), 0xba59344f6190217eULL);
 }
 
-TEST(GoldenAnalysis, TolerantDecodeOfCutTraceIsPinned) {
-  auto encoded = encode_trace(lossy().exp.observed_trace());
-  encoded.resize(encoded.size() * 3 / 4);
-  DecodeOptions tolerant;
-  tolerant.tolerate_truncation = true;
-  EXPECT_EQ(fnv1a(kFnvOffset, encode_trace(decode_trace(encoded, tolerant))),
-            0x3ff2586b1b4393f1ULL);
-}
-
 }  // namespace
 }  // namespace dct

@@ -218,7 +218,7 @@ TEST(JobPrior, SharpensTowardCoscheduledRacks) {
   std::vector<std::vector<double>> activity = {{5, 5, 0, 0, 0, 0},
                                                {0, 0, 5, 5, 0, 0}};
   const DenseTorTm plain = gravity_prior(routing, b);
-  const DenseTorTm aware = job_augmented_prior(routing, b, activity, 1.0);
+  const DenseTorTm aware = job_augmented_prior(routing, b, activity);
   // The job-aware prior puts more mass on the true pairs than plain gravity.
   EXPECT_GT(aware.at(0, 1), plain.at(0, 1));
   EXPECT_LT(aware.at(0, 3), plain.at(0, 3));
