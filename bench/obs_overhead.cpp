@@ -3,14 +3,15 @@
 // The paper's measurement infrastructure had to be cheap enough to leave on
 // in production ("the instrumentation and collection overhead is small
 // enough that the system can be left on continuously").  This harness holds
-// src/obs to the same standard: it runs the canonical scenario twice in the
-// same binary — once with every subsystem bound into the metric registry,
-// once with the hooks left dormant (null-pointer no-ops) — and reports the
-// wall-clock delta.  It also microbenchmarks the individual primitives
-// (counter inc, gauge set, histogram observe, scoped timer).
+// src/obs to the same standard: it runs the canonical scenario in pairs in
+// the same binary — once with every subsystem bound into the metric
+// registry, once with the hooks left dormant (null-pointer no-ops) — and
+// reports each pair's wall-clock ratio.  It also microbenchmarks the
+// individual primitives (counter inc, gauge set, histogram observe, scoped
+// timer).
 //
-// Pass/fail line: live instrumentation must cost < 5% wall clock.
-#include <algorithm>
+// Pass/fail line: the median pair must show live instrumentation costing
+// < 5% wall clock.
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "common/table.h"
 #include "core/scenario.h"
 #include "obs/metrics.h"
@@ -25,13 +27,14 @@
 
 namespace {
 
-double run_once(double duration, std::uint64_t seed, bool bind) {
+// Wall seconds of one canonical run; `manifest` writes a live run's manifest.
+double run_once(double duration, std::uint64_t seed, bool bind, bool manifest = false) {
   dct::ScenarioConfig cfg = dct::scenarios::canonical(duration, seed);
   cfg.name = bind ? "canonical" : "canonical_dormant";
   cfg.obs_bind_metrics = bind;
   auto exp = dct::ClusterExperiment(cfg);
   exp.run();
-  if (bind) dct::bench::write_manifest(exp, "obs_overhead");
+  if (manifest) dct::bench::write_manifest(exp, "obs_overhead");
   return exp.wall_seconds();
 }
 
@@ -48,9 +51,11 @@ double ns_per_op(std::int64_t iters, Fn&& fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double duration = dct::bench::duration_arg(argc, argv, 120.0);
+  const double duration = dct::bench::duration_arg(argc, argv, 300.0);
   const auto seed = dct::bench::seed_arg(argc, argv);
-  constexpr int kReps = 3;
+  // One pair on a shared host can read +-30%; the median of 31 pairs held
+  // within a few percent where the median of 7 still crossed the bound.
+  constexpr int kPairs = 31;
 
   std::cout << "=== Self-instrumentation overhead (Table 1 analogue) ===\n\n";
 
@@ -90,24 +95,30 @@ int main(int argc, char** argv) {
   }
 
   // --- Whole-run overhead ---------------------------------------------------
-  // Alternate bound/dormant and keep the per-mode minimum: the minimum is
-  // the least noisy location statistic for wall-clock on a shared machine.
-  std::vector<double> bound, dormant;
-  for (int r = 0; r < kReps; ++r) {
-    dormant.push_back(run_once(duration, seed, /*bind=*/false));
-    bound.push_back(run_once(duration, seed, /*bind=*/true));
-  }
-  const double best_dormant = *std::min_element(dormant.begin(), dormant.end());
-  const double best_bound = *std::min_element(bound.begin(), bound.end());
-  const double overhead =
-      best_dormant > 0 ? (best_bound - best_dormant) / best_dormant : 0.0;
-
+  // Each pair runs dormant and live back to back, alternating which goes
+  // first, and gives one ratio.  A slow stretch of a shared host then slows
+  // both halves of a pair, and the gate reads the median pair.  An untimed
+  // live run first writes the manifest and warms the allocator and caches,
+  // which would otherwise slow the first pair's first half.
+  run_once(duration, seed, /*bind=*/true, /*manifest=*/true);
   dct::TextTable t("canonical scenario, " + dct::TextTable::num(duration) +
-                   " simulated s, best of " + std::to_string(kReps));
-  t.header({"mode", "wall seconds"});
-  t.row({"instrumentation dormant", dct::TextTable::num(best_dormant)});
-  t.row({"instrumentation live", dct::TextTable::num(best_bound)});
-  t.row({"overhead", dct::TextTable::pct(overhead)});
+                   " simulated s, " + std::to_string(kPairs) + " alternating pairs");
+  t.header({"pair", "dormant wall s", "live wall s", "overhead"});
+  std::vector<double> overheads;
+  for (int p = 0; p < kPairs; ++p) {
+    const bool live_first = p % 2 == 1;
+    const double first = run_once(duration, seed, /*bind=*/live_first);
+    const double second = run_once(duration, seed, /*bind=*/!live_first);
+    const double live = live_first ? first : second;
+    const double dormant = live_first ? second : first;
+    overheads.push_back(dormant > 0 ? live / dormant - 1.0 : 0.0);
+    t.row({std::to_string(p), dct::TextTable::num(dormant), dct::TextTable::num(live),
+           dct::TextTable::pct(overheads.back())});
+  }
+  const double overhead = dct::quantile(overheads, 0.5);
+  t.row({"lower quartile", "", "", dct::TextTable::pct(dct::quantile(overheads, 0.25))});
+  t.row({"median", "", "", dct::TextTable::pct(overhead)});
+  t.row({"upper quartile", "", "", dct::TextTable::pct(dct::quantile(overheads, 0.75))});
   t.print(std::cout);
   std::cout << '\n';
 

@@ -9,6 +9,7 @@
 // The application-level connection cap of 2 — the cluster's actual
 // engineering — keeps goodput near line rate at every fan-in.
 #include <iostream>
+#include <string>
 
 #include "bench_util.h"
 #include "common/table.h"
@@ -21,9 +22,12 @@ int main(int argc, char** argv) {
     if (sru <= 0) dct::bench::bad_value(argv, 1, "transfer size");
   }
 
+  const std::string size =
+      sru < 1024 ? std::to_string(sru) + " bytes"
+                 : dct::TextTable::num(static_cast<double>(sru) / 1024) + " KiB";
   std::cout << "=== Section 4.4: TCP incast collapse vs the connection cap ===\n"
             << "(1 Gbps bottleneck, 64-packet queue, 200 us RTT, 200 ms min RTO,\n"
-            << " " << sru / 1024 << " KB per sender, barrier-synchronized)\n\n";
+            << " " << size << " per sender, barrier-synchronized)\n\n";
 
   dct::IncastConfig cfg;
   const std::vector<std::int32_t> fanins = {1, 2, 4, 8, 12, 16, 24, 32, 48, 64};

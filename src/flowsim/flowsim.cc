@@ -51,10 +51,9 @@ FlowSim::FlowSim(const Topology& topo, FlowSimConfig config)
   }
   link_residual_.resize(n_links, 0.0);
   link_nflows_.resize(n_links, 0);
-  link_epoch_.resize(n_links, 0);
-  link_active_.resize(n_links, 0);
+  link_flows_.resize(n_links);
+  used_pos_.resize(n_links, 0);
   link_cap_factor_.resize(n_links, 1.0);
-  csr_offset_.resize(n_links + 1, 0);
 }
 
 void FlowSim::push_event(Event e) {
@@ -130,7 +129,7 @@ FlowId FlowSim::start_flow(const FlowSpec& spec, CompletionCallback on_complete)
     for (LinkId l : f.path) {
       const auto li = static_cast<std::size_t>(l.value());
       share = std::min(share, topo_.link(l).capacity * link_cap_factor_[li] /
-                                  static_cast<double>(link_active_[li] + 1));
+                                  static_cast<double>(link_flows_[li].size() + 1));
     }
     if (share < config_.connect_share_floor) {
       const double overload = config_.connect_share_floor / std::max(share, 1.0);
@@ -165,11 +164,45 @@ FlowId FlowSim::start_flow(const FlowSpec& spec, CompletionCallback on_complete)
 
   slot_by_flow_[static_cast<std::size_t>(id.value())] =
       static_cast<std::int32_t>(active_.size());
-  for (LinkId l : f.path) ++link_active_[static_cast<std::size_t>(l.value())];
   active_.push_back(std::move(f));
+  attach(active_.size() - 1);
   dirty_ = true;
   schedule_recompute();
   return id;
+}
+
+void FlowSim::attach(std::size_t slot) {
+  ActiveFlow& f = active_[slot];
+  f.link_pos.resize(f.path.size());
+  for (std::size_t h = 0; h < f.path.size(); ++h) {
+    const auto li = static_cast<std::size_t>(f.path[h].value());
+    auto& list = link_flows_[li];
+    if (list.empty()) {
+      used_pos_[li] = static_cast<std::uint32_t>(used_links_.size());
+      used_links_.push_back(f.path[h].value());
+    }
+    f.link_pos[h] = static_cast<std::uint32_t>(list.size());
+    list.push_back({static_cast<std::uint32_t>(slot), static_cast<std::uint32_t>(h)});
+  }
+}
+
+void FlowSim::detach(std::size_t slot) {
+  ActiveFlow& f = active_[slot];
+  for (std::size_t h = 0; h < f.path.size(); ++h) {
+    const auto li = static_cast<std::size_t>(f.path[h].value());
+    auto& list = link_flows_[li];
+    // Swap-remove this flow's entry and tell the entry moved into its place.
+    const LinkEntry moved = list.back();
+    list[f.link_pos[h]] = moved;
+    active_[moved.slot].link_pos[moved.hop] = f.link_pos[h];
+    list.pop_back();
+    if (list.empty()) {
+      const std::uint32_t pos = used_pos_[li];
+      used_links_[pos] = used_links_.back();
+      used_pos_[static_cast<std::size_t>(used_links_[pos])] = pos;
+      used_links_.pop_back();
+    }
+  }
 }
 
 void FlowSim::schedule_recompute() {
@@ -217,63 +250,26 @@ void FlowSim::recompute_rates() {
   for (auto& f : active_) deposit(f, now_);
 
   // --- Progressive filling (water-filling) max-min fair allocation. -------
-  // Phase 1: discover the touched links and count flows per link.
-  ++fill_epoch_;
-  used_links_.clear();
-  for (const auto& f : active_) {
-    for (LinkId l : f.path) {
-      const auto li = static_cast<std::size_t>(l.value());
-      if (link_epoch_[li] != fill_epoch_) {
-        link_epoch_[li] = fill_epoch_;
-        link_residual_[li] = topo_.link(l).capacity * link_cap_factor_[li];
-        link_nflows_[li] = 0;
-        used_links_.push_back(l.value());
-      }
-      ++link_nflows_[li];
-    }
-  }
-  // Phase 2: CSR of link -> flows for the freeze step.  csr_count_ keeps the
-  // original per-link flow count (link_nflows_ is mutated while freezing).
-  // bind_links_ keeps the links that can set the water level: those whose
-  // fair share is within the freeze tolerance of the cap, or all of them
-  // when there is no cap.  Any other link's share starts above
-  // bind_limit and only rises as flows freeze below the cap, so it never
-  // comes within a freeze level (< cap * (1 + 1e-9) + 1e-12) and skipping
-  // it leaves every freeze, and so every rate, as it was.
+  // Phase 1: reset the used links' residuals and flow counts (link_nflows_
+  // is mutated while freezing; the kept lists are not).  bind_links_ keeps
+  // the links that can set the water level: those whose fair share is
+  // within the freeze tolerance of the cap, or all of them when there is no
+  // cap.  Any other link's share starts above bind_limit and only rises as
+  // flows freeze below the cap, so it never comes within a freeze level
+  // (< cap * (1 + 1e-9) + 1e-12) and skipping it leaves every freeze, and
+  // so every rate, as it was.
   const double cap = config_.per_flow_rate_cap;
   const double bind_limit = cap * (1 + 1e-6) + 1e-12;
-  csr_count_.resize(link_residual_.size());
   bind_links_.clear();
-  std::size_t total_entries = 0;
   for (std::int32_t l : used_links_) {
     const auto li = static_cast<std::size_t>(l);
-    csr_offset_[li] = static_cast<std::int32_t>(total_entries);
-    csr_count_[li] = link_nflows_[li];
-    total_entries += static_cast<std::size_t>(link_nflows_[li]);
+    link_residual_[li] = topo_.link(LinkId{l}).capacity * link_cap_factor_[li];
+    link_nflows_[li] = static_cast<std::int32_t>(link_flows_[li].size());
     if (cap <= 0 || link_residual_[li] <= static_cast<double>(link_nflows_[li]) * bind_limit) {
       bind_links_.push_back(l);
     }
   }
-  csr_flows_.resize(total_entries);
-  {
-    // Temporarily reuse csr_offset_ as a fill cursor.
-    for (std::size_t i = 0; i < n; ++i) {
-      for (LinkId l : active_[i].path) {
-        const auto li = static_cast<std::size_t>(l.value());
-        csr_flows_[static_cast<std::size_t>(csr_offset_[li]++)] =
-            static_cast<std::int32_t>(i);
-      }
-    }
-    // Restore offsets.
-    std::size_t running = 0;
-    for (std::int32_t l : used_links_) {
-      const auto li = static_cast<std::size_t>(l);
-      const auto cnt = static_cast<std::size_t>(link_nflows_[li]);
-      csr_offset_[li] = static_cast<std::int32_t>(running);
-      running += cnt;
-    }
-  }
-  // Phase 3: iteratively freeze all links at the current minimum water
+  // Phase 2: iteratively freeze all links at the current minimum water
   // level.  Freezing every min-share link in one pass is exact (removing a
   // frozen flow from another min-share link keeps that link's share at the
   // water level) and collapses the homogeneous-capacity case into few
@@ -313,10 +309,8 @@ void FlowSim::recompute_rates() {
       const double share =
           std::max(0.0, link_residual_[li]) / static_cast<double>(link_nflows_[li]);
       if (share > level) continue;
-      const auto begin = static_cast<std::size_t>(csr_offset_[li]);
-      const auto end = begin + static_cast<std::size_t>(csr_count_[li]);
-      for (std::size_t k = begin; k < end; ++k) {
-        const auto fi = static_cast<std::size_t>(csr_flows_[k]);
+      for (const LinkEntry& e : link_flows_[li]) {
+        const std::size_t fi = e.slot;
         if (flow_frozen_[fi]) continue;
         flow_frozen_[fi] = 1;
         active_[fi].rate = min_share;
@@ -330,7 +324,7 @@ void FlowSim::recompute_rates() {
     }
   }
 
-  // Phase 4: bump generations, queue completions, arm stall events.
+  // Phase 3: bump generations, queue completions, arm stall events.
   for (std::size_t i = 0; i < n; ++i) {
     auto& f = active_[i];
     ++f.generation;
@@ -397,15 +391,19 @@ void FlowSim::finalize_flow(std::size_t slot, bool failed, bool truncated) {
     DCT_OBS_INC(m_flows_completed_);
   }
   DCT_OBS_ADD(m_bytes_delivered_, rec.bytes_sent);
-  for (LinkId l : f.path) --link_active_[static_cast<std::size_t>(l.value())];
+  detach(slot);
   CompletionCallback cb = std::move(f.on_complete);
 
-  // Swap-remove and fix the moved flow's slot index.
+  // Swap-remove, then fix the moved flow's slot index and its list entries.
   slot_by_flow_[static_cast<std::size_t>(f.id.value())] = -1;
   if (slot != active_.size() - 1) {
     active_[slot] = std::move(active_.back());
-    slot_by_flow_[static_cast<std::size_t>(active_[slot].id.value())] =
-        static_cast<std::int32_t>(slot);
+    const ActiveFlow& moved = active_[slot];
+    slot_by_flow_[static_cast<std::size_t>(moved.id.value())] = static_cast<std::int32_t>(slot);
+    for (std::size_t h = 0; h < moved.path.size(); ++h) {
+      link_flows_[static_cast<std::size_t>(moved.path[h].value())][moved.link_pos[h]].slot =
+          static_cast<std::uint32_t>(slot);
+    }
   }
   active_.pop_back();
   dirty_ = true;
@@ -502,9 +500,9 @@ FlowSim::NetworkChangeStats FlowSim::handle_network_change() {
     if (net_->path_alive(f.spec.src, f.spec.dst, f.path)) continue;
     deposit(f, now_);  // account bytes moved on the old path up to the fault
     if (net_->route_into(f.spec.src, f.spec.dst, fresh) && !fresh.empty()) {
-      for (LinkId l : f.path) --link_active_[static_cast<std::size_t>(l.value())];
+      detach(static_cast<std::size_t>(slot));
       f.path = fresh;
-      for (LinkId l : f.path) ++link_active_[static_cast<std::size_t>(l.value())];
+      attach(static_cast<std::size_t>(slot));
       // Invalidate the completion queued at the old rate; the next
       // recompute reassigns a rate on the new path and re-queues it.
       ++f.generation;

@@ -26,6 +26,12 @@
 //     `per_flow_rate_cap` (beyond the freeze tolerance) keeps a share above
 //     the cap however its flows freeze, so it never binds; without a cap
 //     every link can.  Skipping the rest changes no rate.
+//   * The link -> flow incidence is kept, not rebuilt.  Each link lists the
+//     active flows that cross it, each flow knows where its entries sit, and
+//     start, finalize and reroute update the lists by append and
+//     swap-remove; a recompute resets only the links that some list names.
+//     A link's list is not in slot order, and the fill's result does not
+//     depend on that order (docs/PERFORMANCE.md rule 1).
 //   * Per-link utilization is accounted exactly for the piecewise-constant
 //     rate process: whenever a flow's rate changes, its contribution since
 //     the previous change is deposited into each on-path link's time series.
@@ -250,6 +256,7 @@ class FlowSim {
     FlowId id;
     FlowSpec spec;
     std::vector<LinkId> path;
+    std::vector<std::uint32_t> link_pos;  // its entry's index in each path link's list
     double remaining = 0;            // bytes left to send
     BytesPerSec rate = 0;            // current allocated rate
     TimeSec start = 0;
@@ -257,6 +264,12 @@ class FlowSim {
     TimeSec stall_since = -1;        // -1: not stalled
     std::uint32_t generation = 0;    // invalidates queued completions
     CompletionCallback on_complete;
+  };
+
+  // An active flow crossing a link: its active_ slot and its index in its path.
+  struct LinkEntry {
+    std::uint32_t slot;
+    std::uint32_t hop;
   };
 
   enum class EventKind : std::uint8_t { kUser, kStall, kRecompute };
@@ -288,6 +301,9 @@ class FlowSim {
   void push_event(Event e);
   void schedule_recompute();
   void recompute_rates();
+  // Add the flow at `slot` to its path links' lists, or take it off them.
+  void attach(std::size_t slot);
+  void detach(std::size_t slot);
   void deposit(ActiveFlow& f, TimeSec up_to);
   // The fields a finalized record copies from its flow, ending now; the
   // caller sets bytes_sent, failed and truncated.
@@ -325,21 +341,17 @@ class FlowSim {
   const NetworkState* net_ = nullptr;
 
   std::vector<std::int32_t> slot_by_flow_;  // flow id -> active_ slot, -1 if gone
-  std::vector<std::int32_t> link_active_;   // active flows per link (connect model)
+  std::vector<std::vector<LinkEntry>> link_flows_;  // per link, in no set order
+  std::vector<std::int32_t> used_links_;    // links whose list is not empty
+  std::vector<std::uint32_t> used_pos_;     // link -> its index in used_links_
   std::vector<double> link_cap_factor_;     // effective-capacity overlay, 1.0 = nominal
   Rng rng_{0x5eed};
 
   // Scratch buffers for progressive filling (avoid per-recompute allocation).
   std::vector<double> link_residual_;
   std::vector<std::int32_t> link_nflows_;
-  std::vector<std::uint32_t> link_epoch_;
-  std::uint32_t fill_epoch_ = 0;
-  std::vector<std::int32_t> used_links_;
   std::vector<std::int32_t> bind_links_;     // used links that can set the water level
   IntervalSplit deposit_split_;              // the last deposit's interval over the bins
-  std::vector<std::int32_t> csr_offset_;
-  std::vector<std::int32_t> csr_count_;
-  std::vector<std::int32_t> csr_flows_;
   std::vector<std::uint8_t> flow_frozen_;
 
   // Self-instrumentation handles; null until bind_metrics() (obs/obs.h).

@@ -240,6 +240,124 @@ TEST(FlowSim, MaxMinCertificateOnRandomInstances) {
   }
 }
 
+// Per-link load of the max-min fair allocation of `paths` under `cap` (0:
+// none), by textbook progressive filling: raise every unfrozen flow's rate
+// to the lowest link share, or to the cap, and freeze the flows crossing a
+// link at that level.
+std::vector<double> reference_link_rates(const Topology& topo,
+                                         const std::vector<std::vector<LinkId>>& paths,
+                                         const std::vector<double>& factor, double cap) {
+  const std::size_t n_links = factor.size();
+  std::vector<double> residual(n_links), load(n_links, 0.0);
+  std::vector<int> count(n_links, 0);
+  for (std::size_t l = 0; l < n_links; ++l) {
+    residual[l] = topo.link(LinkId{static_cast<std::int32_t>(l)}).capacity * factor[l];
+  }
+  for (const auto& p : paths) {
+    for (LinkId l : p) ++count[static_cast<std::size_t>(l.value())];
+  }
+  std::vector<bool> frozen(paths.size(), false);
+  std::size_t left = paths.size();
+  while (left > 0) {
+    double level = cap > 0 ? cap : std::numeric_limits<double>::infinity();
+    for (std::size_t l = 0; l < n_links; ++l) {
+      if (count[l] > 0) level = std::min(level, residual[l] / count[l]);
+    }
+    std::vector<bool> tight(n_links, false);
+    for (std::size_t l = 0; l < n_links; ++l) {
+      tight[l] = count[l] > 0 && residual[l] / count[l] <= level * (1 + 1e-12);
+    }
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      if (frozen[i]) continue;
+      bool hit = cap > 0 && level >= cap;
+      for (LinkId l : paths[i]) hit = hit || tight[static_cast<std::size_t>(l.value())];
+      if (!hit) continue;
+      frozen[i] = true;
+      --left;
+      for (LinkId l : paths[i]) {
+        const auto li = static_cast<std::size_t>(l.value());
+        residual[li] -= level;
+        --count[li];
+        load[li] += level;
+      }
+    }
+  }
+  return load;
+}
+
+// Flows of mixed sizes arrive at staggered times and finish in another
+// order, so departures leave holes in the middle of the simulator's active
+// set, and a link is degraded mid-run.  Between events, every link's rate
+// must match a max-min fill computed from scratch over the flows still
+// running.
+TEST(FlowSim, RatesMatchReferenceFillUnderChurn) {
+  Topology topo(test_topology());
+  const auto n_links = static_cast<std::size_t>(topo.link_count());
+  FlowSimConfig cfg = exact_config(100.0);
+  cfg.per_flow_rate_cap = 30e6;
+  cfg.fail_rate_floor = 0.0;
+  FlowSim sim(topo, cfg);
+
+  std::vector<std::vector<LinkId>> paths;  // by flow id
+  std::vector<bool> running;               // by flow id
+  std::vector<double> factor(n_links, 1.0);
+  int out_of_order = 0;  // departures while a later-started flow still runs
+  Rng rng(2311);
+  for (int i = 0; i < 80; ++i) {
+    // Half the flows leave server 0 or 6, so they share links.
+    const ServerId src{static_cast<std::int32_t>(
+        rng.bernoulli(0.5) ? 6 * rng.uniform_int(0, 1) : rng.uniform_int(0, 19))};
+    ServerId dst = src;
+    while (dst == src) dst = ServerId{static_cast<std::int32_t>(rng.uniform_int(0, 19))};
+    const Bytes bytes = rng.uniform_int(1'000'000, 60'000'000);
+    sim.at(rng.uniform(0.0, 4.0), [&, src, dst, bytes](FlowSim& s) {
+      const FlowId id = s.start_flow(flow(src, dst, bytes), [&](FlowSim&, const FlowRecord& r) {
+        const auto done = static_cast<std::size_t>(r.id.value());
+        running[done] = false;
+        for (std::size_t k = done + 1; k < running.size(); ++k) {
+          if (running[k]) {
+            ++out_of_order;
+            break;
+          }
+        }
+      });
+      ASSERT_EQ(static_cast<std::size_t>(id.value()), paths.size());
+      paths.emplace_back();
+      topo.route_into(src, dst, paths.back());
+      running.push_back(true);
+    });
+  }
+  const LinkId degraded = topo.server_up_link(ServerId{0});
+  sim.at(1.5, [&](FlowSim& s) {
+    factor[static_cast<std::size_t>(degraded.value())] = 0.3;
+    s.set_link_capacity_factor(degraded, 0.3);
+  });
+
+  int busy_probes = 0;
+  for (int k = 0; k < 24; ++k) {
+    sim.at(0.0371 + 0.25 * k, [&](FlowSim& s) {
+      std::vector<std::vector<LinkId>> live;
+      for (std::size_t i = 0; i < paths.size(); ++i) {
+        if (running[i]) live.push_back(paths[i]);
+      }
+      ASSERT_EQ(live.size(), s.active_flow_count());
+      if (live.size() >= 5) ++busy_probes;
+      std::vector<double> got;
+      s.snapshot_link_rates(got);
+      const std::vector<double> want =
+          reference_link_rates(topo, live, factor, cfg.per_flow_rate_cap);
+      for (std::size_t l = 0; l < n_links; ++l) {
+        EXPECT_NEAR(got[l], want[l], 1e-6 * std::max(want[l], 1.0))
+            << "link " << l << " at t=" << s.now();
+      }
+    });
+  }
+  sim.run();
+  EXPECT_GE(busy_probes, 10);
+  EXPECT_GE(out_of_order, 10);
+  for (const FlowRecord& r : sim.records()) EXPECT_FALSE(r.failed || r.truncated);
+}
+
 TEST(FlowSim, UtilizationConservesBytes) {
   Topology topo(test_topology());
   FlowSim sim(topo, exact_config());

@@ -27,6 +27,11 @@ verdict (docs/PERFORMANCE.md, "Claiming a gain"):
   bound;
 - `no worse`: anything else.
 
+Each workload also records `digests_identical`: whether every run, on
+both sides and traced or not, reported the same `trace_digest` in its
+provenance line, and the same `pass_digest` where the workload reports
+one.  True means the change did not move the benchmark's outputs.
+
 `--claim WORKLOAD:METRIC` also records that metric's wins, ties and
 losses over pairs and the median difference against the base's
 interquartile range, and whether its verdict is `better`.  Reads
@@ -82,6 +87,14 @@ def run_once(root, workload, seed, seconds, trace):
         sys.stderr.write(done.stderr[-4000:])
     return {"started_utc": started, "exit_code": done.returncode, "provenance": prov,
             "result": lines[-1] if lines else None}, result
+
+
+def digests(run):
+    """The output digests a run's provenance line reports, or None without one."""
+    if run["provenance"] is None:
+        return None
+    prov = json.loads(run["provenance"].partition(" ")[2])
+    return {k: prov.get(k) for k in ("trace_digest", "pass_digest")}
 
 
 def ok(result):
@@ -166,7 +179,10 @@ def main():
                       + (f"{wall}={result['metrics'][wall]['value']}" if result else "NO RESULT")
                       + ("" if ok(result) else " INCORRECT"), flush=True)
             (traced if trace else pairs).append(pair)
-        entry = {"pairs": pairs, "traced_pairs": traced, "metrics": {}}
+        seen = [digests(pair[s]) for pair in pairs + traced for s in sides]
+        entry = {"pairs": pairs, "traced_pairs": traced, "metrics": {},
+                 "digests_identical": None not in seen and all(d == seen[0] for d in seen)}
+        print(f"{name:16} {'digests_identical':22} {entry['digests_identical']}", flush=True)
         if all(len(values[s][m]) == len(pairs) for s in sides for m in specs):
             for m, spec in specs.items():
                 entry["metrics"][m] = judge(spec, values["base"][m], values["change"][m])
