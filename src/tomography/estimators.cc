@@ -33,50 +33,42 @@ std::int32_t tor_down_idx(const RoutingMatrix& r, std::int32_t i) {
   return r.path(j, i).back();
 }
 
-// v = A W A^T u  for W = diag(w) over OD pairs.  A non-null `mask` drops
-// the masked measurement rows from the operator (their output components
-// are pinned to zero, so lambda never grows support there).
-std::vector<double> normal_matvec(const RoutingMatrix& r, const std::vector<double>& w,
-                                  const std::vector<double>& u,
-                                  const LinkLoadMask* mask = nullptr) {
-  std::vector<double> y = r.adjoint(u);  // OD-space
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] *= w[i];
-  const std::int32_t n = r.tor_count();
-  std::vector<double> v(u.size(), 0.0);
-  for (std::int32_t i = 0; i < n; ++i) {
-    for (std::int32_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const double x = y[static_cast<std::size_t>(i) * n + j];
-      if (x == 0) continue;
-      for (std::int32_t l : r.path(i, j)) v[static_cast<std::size_t>(l)] += x;
-    }
-  }
-  if (mask != nullptr) {
-    for (std::size_t l = 0; l < v.size(); ++l) {
-      if ((*mask)[l] == 0) v[l] = 0.0;
-    }
-  }
-  return v;
-}
-
-// Conjugate gradients for (A W A^T) lambda = rhs.  The operator is
-// symmetric positive semidefinite and rhs lies in its range, so CG
-// converges to a least-norm-ish solution; we stop on relative residual.
-// With a mask, rhs must already be zero on masked rows; the iteration then
-// stays inside the valid subspace.
+// Conjugate gradients for (A W A^T) lambda = rhs, W = diag(w) over OD
+// pairs.  The operator is symmetric positive semidefinite and rhs lies in
+// its range, so CG converges to a least-norm-ish solution; we stop on
+// relative residual.  A non-null `mask` drops the masked measurement rows
+// from the operator (their output components are pinned to zero, so lambda
+// never grows support there); rhs must already be zero on masked rows.
+// Each product A W A^T p is one pass over the OD pairs in (i, j) order: the
+// pair's adjoint sum along its path, times its weight, scattered back along
+// it.  No iteration allocates.
 std::vector<double> solve_normal(const RoutingMatrix& r, const std::vector<double>& w,
                                  const std::vector<double>& rhs,
                                  const LinkLoadMask* mask = nullptr) {
   std::vector<double> lambda(rhs.size(), 0.0);
   std::vector<double> resid = rhs;
   std::vector<double> p = resid;
+  std::vector<double> ap(rhs.size());
   double rr = 0;
   for (double v : resid) rr += v * v;
   const double rr0 = rr;
   if (rr0 == 0) return lambda;
 
   for (std::int32_t it = 0; it < kCgIterations; ++it) {
-    const std::vector<double> ap = normal_matvec(r, w, p, mask);
+    std::fill(ap.begin(), ap.end(), 0.0);
+    for (std::size_t k = 0; k < w.size(); ++k) {
+      const auto path = r.od_path(k);
+      double acc = 0;
+      for (std::int32_t l : path) acc += p[static_cast<std::size_t>(l)];
+      const double x = acc * w[k];
+      if (x == 0) continue;
+      for (std::int32_t l : path) ap[static_cast<std::size_t>(l)] += x;
+    }
+    if (mask != nullptr) {
+      for (std::size_t l = 0; l < ap.size(); ++l) {
+        if ((*mask)[l] == 0) ap[l] = 0.0;
+      }
+    }
     double pap = 0;
     for (std::size_t i = 0; i < p.size(); ++i) pap += p[i] * ap[i];
     if (pap <= 0) break;  // hit the operator's null space
@@ -213,6 +205,9 @@ namespace {
 DenseTorTm tomogravity_impl(const RoutingMatrix& routing,
                             const std::vector<double>& link_loads,
                             const LinkLoadMask* mask, const DenseTorTm& prior) {
+  require(link_loads.size() == static_cast<std::size_t>(routing.link_count()),
+          "tomogravity: " + std::to_string(link_loads.size()) + " link loads for " +
+              std::to_string(routing.link_count()) + " measured links");
   require(prior.size() == routing.tor_count(), "tomogravity: prior size mismatch");
   const std::int32_t n = routing.tor_count();
   const std::size_t odn = static_cast<std::size_t>(n) * n;
@@ -343,18 +338,30 @@ DenseTorTm job_augmented_prior(const RoutingMatrix& routing,
                                const std::vector<std::vector<double>>& activity) {
   const DenseTorTm g = gravity_prior(routing, link_loads);
   const std::int32_t n = routing.tor_count();
+  const auto nn = static_cast<std::size_t>(n);
 
-  // overlap_ij = sum_k activity[k][i] * activity[k][j]
+  // overlap_ij = sum_k activity[k][i] * activity[k][j]: each job adds its
+  // outer product over the racks it touched.  Every cell still sums in job
+  // order, and the terms skipped are exact zeros (finite activity only).
+  std::vector<double> overlap(nn * nn, 0.0);
+  for (std::size_t k = 0; k < activity.size(); ++k) {
+    const std::vector<double>& a = activity[k];
+    require(a.size() == nn && std::all_of(a.begin(), a.end(),
+                                            [](double v) { return std::isfinite(v); }),
+            "job_augmented_prior: activity row " + std::to_string(k) +
+                " must hold " + std::to_string(n) + " finite entries");
+    for (std::size_t i = 0; i < nn; ++i) {
+      if (a[i] == 0) continue;
+      for (std::size_t j = 0; j < nn; ++j) overlap[i * nn + j] += a[i] * a[j];
+    }
+  }
   DenseTorTm m(n);
   double m_total = 0;
   for (std::int32_t i = 0; i < n; ++i) {
     for (std::int32_t j = 0; j < n; ++j) {
       if (i == j) continue;
-      double overlap = 0;
-      for (const auto& a : activity) {
-        overlap += a[static_cast<std::size_t>(i)] * a[static_cast<std::size_t>(j)];
-      }
-      const double v = g.at(i, j) * (1.0 + overlap);
+      const double v = g.at(i, j) * (1.0 + overlap[static_cast<std::size_t>(i) * nn +
+                                                   static_cast<std::size_t>(j)]);
       m.set(i, j, v);
       m_total += v;
     }
@@ -394,7 +401,7 @@ DenseTorTm sparsity_max(const RoutingMatrix& routing,
       for (std::int32_t j = 0; j < n; ++j) {
         if (i == j) continue;
         double assignable = std::numeric_limits<double>::infinity();
-        for (std::int32_t l : routing.path(i, j)) {
+        for (std::int32_t l : routing.od_path(static_cast<std::size_t>(i) * n + j)) {
           assignable = std::min(assignable, resid[static_cast<std::size_t>(l)]);
         }
         if (assignable > best) {
@@ -407,7 +414,7 @@ DenseTorTm sparsity_max(const RoutingMatrix& routing,
     if (bi < 0 || best <= 0) break;
     x.add(bi, bj, best);
     double remaining = 0;
-    for (std::int32_t l : routing.path(bi, bj)) {
+    for (std::int32_t l : routing.od_path(static_cast<std::size_t>(bi) * n + bj)) {
       resid[static_cast<std::size_t>(l)] -= best;
     }
     for (double v : resid) remaining += v;

@@ -33,7 +33,8 @@ namespace dct {
 
 /// Tomogravity: least-squares adjustment of `prior` to satisfy A x = b,
 /// solved by conjugate gradients (at most 200 iterations, to a 1e-10
-/// relative residual) inside 4 clamp-and-reproject rounds.
+/// relative residual) inside 4 clamp-and-reproject rounds.  `link_loads`
+/// must hold one load per measured link.
 [[nodiscard]] DenseTorTm tomogravity(const RoutingMatrix& routing,
                                      const std::vector<double>& link_loads,
                                      const DenseTorTm& prior);
@@ -89,7 +90,8 @@ class SnmpCounters;
 
 /// §5.3's job-aware prior: gravity multiplied by
 ///   1 + sum_k activity[k][i] * activity[k][j],
-/// renormalized to the gravity prior's total.
+/// renormalized to the gravity prior's total.  Every activity row must hold
+/// one finite entry per ToR.
 [[nodiscard]] DenseTorTm job_augmented_prior(
     const RoutingMatrix& routing, const std::vector<double>& link_loads,
     const std::vector<std::vector<double>>& activity);

@@ -68,22 +68,24 @@ RoutingMatrix::RoutingMatrix(const Topology& topo) : n_(topo.rack_count()) {
     link_ids_.push_back(l);
   }
 
-  paths_.resize(static_cast<std::size_t>(n_) * n_);
+  offsets_.reserve(static_cast<std::size_t>(n_) * n_ + 1);
+  offsets_.push_back(0);
   for (std::int32_t i = 0; i < n_; ++i) {
     for (std::int32_t j = 0; j < n_; ++j) {
-      if (i == j) continue;
-      auto& p = paths_[static_cast<std::size_t>(i) * n_ + j];
-      const RackId ri{i};
-      const RackId rj{j};
-      p.push_back(measured_index(topo.tor_up_link(ri)));
-      if (topo.agg_of(ri) != topo.agg_of(rj)) {
-        p.push_back(measured_index(topo.agg_up_link(topo.agg_of(ri))));
-        p.push_back(measured_index(topo.agg_down_link(topo.agg_of(rj))));
+      if (i != j) {
+        const RackId ri{i};
+        const RackId rj{j};
+        links_.push_back(measured_index(topo.tor_up_link(ri)));
+        if (topo.agg_of(ri) != topo.agg_of(rj)) {
+          links_.push_back(measured_index(topo.agg_up_link(topo.agg_of(ri))));
+          links_.push_back(measured_index(topo.agg_down_link(topo.agg_of(rj))));
+        }
+        links_.push_back(measured_index(topo.tor_down_link(rj)));
       }
-      p.push_back(measured_index(topo.tor_down_link(rj)));
-      for (std::int32_t idx : p) ensure(idx >= 0, "unmeasured link on a ToR path");
+      offsets_.push_back(static_cast<std::int32_t>(links_.size()));
     }
   }
+  for (std::int32_t idx : links_) ensure(idx >= 0, "unmeasured link on a ToR path");
 }
 
 std::int32_t RoutingMatrix::measured_index(LinkId l) const {
@@ -98,22 +100,18 @@ LinkId RoutingMatrix::link_at(std::int32_t measured) const {
   return link_ids_[static_cast<std::size_t>(measured)];
 }
 
-const std::vector<std::int32_t>& RoutingMatrix::path(std::int32_t i,
-                                                     std::int32_t j) const {
+std::span<const std::int32_t> RoutingMatrix::path(std::int32_t i, std::int32_t j) const {
   require(i >= 0 && i < n_ && j >= 0 && j < n_ && i != j, "path: bad OD pair");
-  return paths_[static_cast<std::size_t>(i) * n_ + j];
+  return od_path(static_cast<std::size_t>(i) * n_ + j);
 }
 
 std::vector<double> RoutingMatrix::link_loads(const DenseTorTm& tm) const {
   require(tm.size() == n_, "link_loads: TM size mismatch");
   std::vector<double> b(static_cast<std::size_t>(link_count()), 0.0);
-  for (std::int32_t i = 0; i < n_; ++i) {
-    for (std::int32_t j = 0; j < n_; ++j) {
-      if (i == j) continue;
-      const double x = tm.at(i, j);
-      if (x <= 0) continue;
-      for (std::int32_t l : path(i, j)) b[static_cast<std::size_t>(l)] += x;
-    }
+  const std::vector<double>& x = tm.raw();
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    if (x[k] <= 0) continue;
+    for (std::int32_t l : od_path(k)) b[static_cast<std::size_t>(l)] += x[k];
   }
   return b;
 }
@@ -122,13 +120,10 @@ std::vector<double> RoutingMatrix::adjoint(const std::vector<double>& lambda) co
   require(lambda.size() == static_cast<std::size_t>(link_count()),
           "adjoint: size mismatch");
   std::vector<double> y(static_cast<std::size_t>(n_) * n_, 0.0);
-  for (std::int32_t i = 0; i < n_; ++i) {
-    for (std::int32_t j = 0; j < n_; ++j) {
-      if (i == j) continue;
-      double acc = 0;
-      for (std::int32_t l : path(i, j)) acc += lambda[static_cast<std::size_t>(l)];
-      y[static_cast<std::size_t>(i) * n_ + j] = acc;
-    }
+  for (std::size_t k = 0; k < y.size(); ++k) {
+    double acc = 0;
+    for (std::int32_t l : od_path(k)) acc += lambda[static_cast<std::size_t>(l)];
+    y[k] = acc;
   }
   return y;
 }

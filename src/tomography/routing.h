@@ -8,7 +8,9 @@
 // scenario for tomography").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -56,6 +58,11 @@ class DenseTorTm {
 /// The routing matrix at ToR granularity: which inter-switch links each
 /// ToR-to-ToR OD pair crosses.  Rows are OD pairs in (src*n + dst) order
 /// (diagonal rows empty); columns are *measured links* indexed densely.
+///
+/// Paths are stored flat, CSR-style: OD pair k's measured-link indices, in
+/// path order, are links_[offsets_[k] .. offsets_[k + 1]).  Every product
+/// below walks those two arrays in (i, j) order and each path in path
+/// order, so its sums keep one fixed order of operands.
 class RoutingMatrix {
  public:
   explicit RoutingMatrix(const Topology& topo);
@@ -70,9 +77,13 @@ class RoutingMatrix {
   /// Topology link behind a measured index.
   [[nodiscard]] LinkId link_at(std::int32_t measured) const;
 
-  /// Measured-link indices crossed by OD pair (i -> j).
-  [[nodiscard]] const std::vector<std::int32_t>& path(std::int32_t i,
-                                                      std::int32_t j) const;
+  /// Measured-link indices crossed by OD pair (i -> j), in path order.
+  [[nodiscard]] std::span<const std::int32_t> path(std::int32_t i, std::int32_t j) const;
+  /// The same path by OD index k = i * n + j, unchecked (k < n * n); a
+  /// diagonal pair's path is empty.  For solvers that walk every pair.
+  [[nodiscard]] std::span<const std::int32_t> od_path(std::size_t k) const noexcept {
+    return {links_.data() + offsets_[k], links_.data() + offsets_[k + 1]};
+  }
 
   /// b = A x : link loads induced by a ToR TM.
   [[nodiscard]] std::vector<double> link_loads(const DenseTorTm& tm) const;
@@ -83,8 +94,9 @@ class RoutingMatrix {
  private:
   std::int32_t n_;
   std::vector<LinkId> link_ids_;
-  std::vector<std::int32_t> measured_of_link_;        // LinkId value -> dense idx
-  std::vector<std::vector<std::int32_t>> paths_;      // od index -> link idxs
+  std::vector<std::int32_t> measured_of_link_;  // LinkId value -> dense idx
+  std::vector<std::int32_t> offsets_;           // od index -> start in links_
+  std::vector<std::int32_t> links_;             // every path's link idxs
 };
 
 }  // namespace dct

@@ -5,7 +5,6 @@
 #include <limits>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/fnv.h"
 #include "common/require.h"
@@ -23,17 +22,6 @@ constexpr std::uint64_t kSnmpAggStream = 0x7E1E'0004ULL;
 void check_prob(double p, const char* what) {
   require(p >= 0.0 && p <= 1.0, std::string("TelemetryFaultConfig: ") + what +
                                     " must be in [0, 1], got " + std::to_string(p));
-}
-
-// Stable dedup key of one socket record: (flow id, logging server,
-// direction).  A flow appears at most once per direction per server, so
-// this uniquely identifies a record across duplicate uploads.
-std::uint64_t record_key(const SocketFlowLog& f) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(f.flow.value()))
-          << 32) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(f.local.value()))
-          << 1) |
-         (f.direction == SocketDirection::kRecv ? 1u : 0u);
 }
 
 }  // namespace
@@ -312,62 +300,42 @@ LossyCollection apply_telemetry_faults(const ClusterTrace& full,
     return false;
   };
 
-  // Replay arrivals (each upload once, or twice when duplicated) through
-  // the keyed dedup, keeping pointers to the surviving endpoint copies.
-  std::unordered_set<std::uint64_t> seen;
-  std::unordered_map<std::int32_t, const SocketFlowLog*> send_alive;
-  std::unordered_map<std::int32_t, const SocketFlowLog*> recv_alive;
-  for (std::int32_t s = 0; s < full.server_count(); ++s) {
-    const ServerLog& log = full.server_log(ServerId{s});
-    for (int c = 0; c < 2; ++c) {
-      if (c == 1 && dup_intervals[static_cast<std::size_t>(s)].empty()) break;
-      for (const SocketFlowLog& rec : log.flows) {
-        if (c == 1 && !duplicated(ServerId{s}, rec.end)) continue;
-        if (dropped(ServerId{s}, rec.end)) {
-          if (c == 0) {
-            ++out.stats.records_lost;
-            charge_gap(ServerId{s}, rec.end);
-          }
-          continue;
-        }
-        if (!seen.insert(record_key(rec)).second) {
-          ++out.stats.duplicates_dropped;
-          continue;
-        }
-        auto& slot = rec.direction == SocketDirection::kSend ? send_alive : recv_alive;
-        slot.emplace(rec.flow.value(), &rec);
-      }
-    }
-  }
-
-  // Unified reconstruction with peer recovery: the sender's copy is
-  // authoritative; a lost sender record is rebuilt from the receiver's.
+  // One pass decides both copies of each flow: the send copy in src's log
+  // and the receive copy in dst's, each with the flow's own fields and end
+  // time (collector_faults.h says why that is exact).  The merged record is
+  // those fields, whichever copy survived: peer recovery.
   std::vector<FlowRecord> unified;
   unified.reserve(full.flows().size());
   for (const SocketFlowLog& f : full.flows()) {
-    const auto send_it = send_alive.find(f.flow.value());
-    const auto recv_it = recv_alive.find(f.flow.value());
-    const bool have_send = send_it != send_alive.end();
-    const bool have_recv = recv_it != recv_alive.end();
+    const auto survives = [&](ServerId s) {
+      if (dropped(s, f.end)) {
+        ++out.stats.records_lost;
+        charge_gap(s, f.end);
+        return false;
+      }
+      if (duplicated(s, f.end)) ++out.stats.duplicates_dropped;
+      return true;
+    };
+    const bool have_send = survives(f.local);
+    const bool have_recv = survives(f.peer);
     if (!have_send && !have_recv) {
       ++out.stats.flows_lost;
       continue;
     }
     if (!have_send) ++out.stats.flows_recovered;
-    const SocketFlowLog& src = have_send ? *send_it->second : *recv_it->second;
     FlowRecord rec;
-    rec.id = src.flow;
-    rec.src = have_send ? src.local : src.peer;
-    rec.dst = have_send ? src.peer : src.local;
-    rec.start = src.start;
-    rec.end = src.end;
-    rec.bytes_sent = src.bytes;
-    rec.bytes_requested = src.bytes_requested;
-    rec.failed = src.failed;
-    rec.truncated = src.truncated;
-    rec.job = src.job;
-    rec.phase = src.phase;
-    rec.kind = src.kind;
+    rec.id = f.flow;
+    rec.src = f.local;
+    rec.dst = f.peer;
+    rec.start = f.start;
+    rec.end = f.end;
+    rec.bytes_sent = f.bytes;
+    rec.bytes_requested = f.bytes_requested;
+    rec.failed = f.failed;
+    rec.truncated = f.truncated;
+    rec.job = f.job;
+    rec.phase = f.phase;
+    rec.kind = f.kind;
     unified.push_back(rec);
   }
   // The original global finalization order is unrecoverable from partial

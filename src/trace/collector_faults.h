@@ -73,7 +73,7 @@ struct TelemetryFaultConfig {
   double straggler_truncate_prob = 0.0;
 
   /// Probability a flaky uplink delivers a server's upload twice; the
-  /// hardened merge must deduplicate by stable flow key.
+  /// hardened merge counts the re-delivered records and merges them once.
   double duplicate_prob = 0.0;
 
   /// Probability one SNMP poll of one switch times out (per switch, per
@@ -117,7 +117,7 @@ struct UploadPlan {
   bool lost = false;        ///< upload missing
   bool truncated = false;   ///< cut at `truncate_at`
   TimeSec truncate_at = 0;  ///< records with end >= this are lost
-  bool duplicated = false;  ///< upload arrives twice (dedup must handle it)
+  bool duplicated = false;  ///< upload arrives twice (merged once)
   /// Records covered by this upload: end times in [chunk_start, chunk_end).
   /// chunk_end == 0 means the whole run (one-shot collection).
   TimeSec chunk_start = 0;
@@ -179,7 +179,7 @@ struct TelemetryMergeStats {
   std::size_t uploads_truncated = 0;
   std::size_t uploads_duplicated = 0;
   std::size_t records_lost = 0;         ///< socket records erased by gaps
-  std::size_t duplicates_dropped = 0;   ///< records removed by keyed dedup
+  std::size_t duplicates_dropped = 0;   ///< re-delivered records, not merged
   std::size_t flows_recovered = 0;      ///< sender copy lost, receiver's used
   std::size_t flows_lost = 0;           ///< both endpoint copies lost
 };
@@ -190,17 +190,25 @@ struct LossyCollection {
   TelemetryMergeStats stats;
 };
 
-/// The hardened merge: replays upload arrivals under `schedule` against a
-/// perfectly collected trace and merges what survives.
+/// The hardened merge: applies `schedule`'s upload fates to a perfectly
+/// collected trace and merges what survives, in one pass over
+/// `full.flows()`.
 ///
-///  - each surviving upload copy contributes its un-gapped records;
-///  - duplicated uploads are deduplicated by stable flow key
-///    (flow id, logging server, direction);
+///  - a flow's send copy (at src) and receive copy (at dst) each survive
+///    unless a gap on that server covers the flow's end time;
+///  - a surviving copy in an upload that arrived twice is counted in
+///    `duplicates_dropped` and merged once: a duplicate never changes the
+///    output;
 ///  - a flow whose sender-side record was lost is recovered from the
 ///    receiver's copy when that survived (peer recovery);
 ///  - flows that lost both copies are gone, and the schedule's gaps are
 ///    recorded on the merged trace so gap-aware analysis can correct for
 ///    them.
+///
+/// One pass is exact because ClusterTrace::record_flow is the only writer
+/// of the server logs, and it writes both copies of a flow with the flow's
+/// own fields and end time.  Nothing is keyed on the flow id, so ids need
+/// not be unique.
 ///
 /// Because the original global finalization order is unrecoverable from
 /// partial uploads, merged flows are emitted in the canonical order

@@ -19,7 +19,11 @@
 #include "common/fnv.h"
 #include "common/stats.h"
 #include "core/experiment.h"
+#include "tomography/estimators.h"
+#include "tomography/routing.h"
 #include "trace/codec.h"
+#include "trace/collector_faults.h"
+#include "trace/snmp.h"
 
 namespace dct {
 namespace {
@@ -280,6 +284,80 @@ TEST(GoldenAnalysis, GapAwareTmIsPinned) {
   };
   EXPECT_EQ(digest(5.0, TmScope::kServer), 0xe954fe89e059f1feULL);
   EXPECT_EQ(digest(10.0, TmScope::kToR), 0xba59344f6190217eULL);
+}
+
+// Merge and solver pins.  The merge folds the observed trace's bytes, every
+// merge counter and each gap's lost-record count; the solvers fold their
+// estimates cell by cell in (i, j) order.  Each sum in the tomogravity
+// operator keeps its operands and their order (docs/PERFORMANCE.md), so a
+// rewrite that reorders one reduction moves these.  Re-pin only on purpose.
+TEST(GoldenAnalysis, TelemetryMergeIsPinned) {
+  auto& exp = lossy().exp;
+  const ClusterTrace& observed = exp.observed_trace();
+  const TelemetryMergeStats& s = exp.telemetry_stats();
+  EXPECT_EQ(s.uploads_lost, 156u);
+  EXPECT_EQ(s.uploads_truncated, 151u);
+  EXPECT_EQ(s.uploads_duplicated, 127u);
+  EXPECT_EQ(s.records_lost, 2258u);
+  EXPECT_EQ(s.duplicates_dropped, 873u);
+  EXPECT_EQ(s.flows_recovered, 1014u);
+  EXPECT_EQ(s.flows_lost, 122u);
+  Fingerprint fp;
+  fp.u64(fnv1a(kFnvOffset, encode_trace(observed)));
+  fp.u64(s.uploads_lost).u64(s.uploads_truncated).u64(s.uploads_duplicated);
+  fp.u64(s.records_lost).u64(s.duplicates_dropped).u64(s.flows_recovered);
+  fp.u64(s.flows_lost).u64(observed.gaps().size());
+  for (const GapRecord& g : observed.gaps()) {
+    fp.u64(static_cast<std::uint64_t>(g.records_lost));
+  }
+  EXPECT_EQ(fp.value(), 0xf77634a4d2cda956ULL);
+}
+
+void fold_dense(Fingerprint& fp, const DenseTorTm& tm) {
+  fp.u64(static_cast<std::uint64_t>(tm.size()));
+  for (const double v : tm.raw()) fp.f64(v);
+}
+
+TEST(GoldenAnalysis, TomographyIsPinned) {
+  Fingerprint fp;
+  {
+    auto& exp = golden().exp;
+    const RoutingMatrix routing(exp.topology());
+    const auto activity = job_tor_activity(exp.trace(), exp.topology());
+    std::size_t windows = 0;
+    for (const SparseTm& tm :
+         build_tm_series(exp.trace(), exp.topology(), 10.0, TmScope::kToR)) {
+      if (tm.total() <= 0 || tm.nonzero_count() < 3) continue;
+      ++windows;
+      const auto loads = routing.link_loads(DenseTorTm::from_sparse(tm));
+      fold_dense(fp, tomogravity(routing, loads));
+      fold_dense(fp, tomogravity(routing, loads,
+                                 job_augmented_prior(routing, loads, activity)));
+      fold_dense(fp, sparsity_max(routing, loads));
+    }
+    EXPECT_EQ(windows, 30u);
+  }
+  // The lossy run's SNMP plane: timed-out polls and counter resets mask
+  // rows out of the constraint set.
+  auto& exp = lossy().exp;
+  const RoutingMatrix routing(exp.topology());
+  auto counters = SnmpCounters::collect(exp.sim(), exp.topology(),
+                                        exp.scenario().telemetry.snmp_poll_interval,
+                                        exp.scenario().telemetry.snmp_counter_width);
+  apply_snmp_faults(counters, exp.topology(), exp.telemetry_schedule());
+  std::size_t masked_rows = 0;
+  std::vector<double> loads(static_cast<std::size_t>(routing.link_count()));
+  for (TimeSec t0 = 0; t0 < exp.trace().duration(); t0 += 10.0) {
+    for (std::int32_t m = 0; m < routing.link_count(); ++m) {
+      loads[static_cast<std::size_t>(m)] =
+          counters.bytes_between(routing.link_at(m), t0, t0 + 10.0);
+    }
+    const auto mask = reliable_link_mask(routing, counters, t0, t0 + 10.0);
+    masked_rows += static_cast<std::size_t>(std::count(mask.begin(), mask.end(), 0));
+    fold_dense(fp, tomogravity_masked(routing, loads, mask));
+  }
+  EXPECT_GT(masked_rows, 0u);
+  EXPECT_EQ(fp.value(), 0x8d9fffd5558aedd8ULL);
 }
 
 }  // namespace

@@ -268,12 +268,28 @@ TEST(TelemetryMerge, DeduplicatesDuplicatedUploads) {
 
   const LossyCollection out = apply_telemetry_faults(full, schedule);
   EXPECT_EQ(out.stats.uploads_duplicated, 1u);
-  // Server 0 logs three records (two sends, one recv); the second copy is
-  // dropped record-for-record by the keyed dedup.
+  // Server 0 logs three records (two sends, one recv); each re-delivered
+  // copy is counted and never reaches the output.
   EXPECT_EQ(out.stats.duplicates_dropped, 3u);
   EXPECT_EQ(out.trace.flow_count(), full.flow_count());
   EXPECT_EQ(out.trace.total_bytes(), full.total_bytes());
   EXPECT_EQ(out.stats.flows_lost, 0u);
+}
+
+TEST(TelemetryMerge, RepeatedFlowIdsKeepEachFlow) {
+  // Flow ids need not be unique: two flows that share one are two flows, and
+  // a fault-free merge is not a duplicate.
+  ClusterTrace full(6, 100.0);
+  full.record_flow(make_record(7, 0, 1, 1000, 1.0, 2.0));
+  full.record_flow(make_record(7, 0, 1, 2000, 3.0, 4.0));
+  full.build_indices();
+
+  const LossyCollection out = apply_telemetry_faults(full, TelemetryFaultSchedule{});
+  ASSERT_EQ(out.trace.flow_count(), 2u);
+  EXPECT_EQ(out.trace.total_bytes(), 3000);
+  EXPECT_EQ(out.stats.duplicates_dropped, 0u);
+  EXPECT_EQ(out.trace.flows()[0].bytes, 1000);
+  EXPECT_EQ(out.trace.flows()[1].bytes, 2000);
 }
 
 TEST(TelemetryMerge, LostUploadLosesOnlyDualGappedFlows) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "analysis/traffic_matrix.h"
 #include "common/require.h"
@@ -226,6 +228,53 @@ TEST(JobPrior, SharpensTowardCoscheduledRacks) {
   const double err_plain = rmsre(truth, tomogravity(routing, b, plain), 0.75);
   const double err_aware = rmsre(truth, tomogravity(routing, b, aware), 0.75);
   EXPECT_LE(err_aware, err_plain + 1e-9);
+}
+
+// The dct::Error message `f` throws ("" if none).
+template <typename F>
+std::string error_message(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Tomogravity, RejectsLoadsOfWrongWidth) {
+  Topology topo(topo_config());
+  RoutingMatrix routing(topo);
+  Rng rng(5);
+  std::vector<double> b = routing.link_loads(random_tm(6, rng));
+  const DenseTorTm prior = gravity_prior(routing, b);
+  b.push_back(1.0);
+  const LinkLoadMask mask(b.size(), 1);
+  for (const std::string& what :
+       {error_message([&] { (void)tomogravity(routing, b, prior); }),
+        error_message([&] { (void)tomogravity_masked(routing, b, mask, prior); })}) {
+    EXPECT_NE(what.find("tomogravity: 17 link loads for 16 measured links"),
+              std::string::npos)
+        << "message must name the function and the widths: " << what;
+  }
+}
+
+TEST(JobPrior, RejectsMalformedActivity) {
+  Topology topo(topo_config());
+  RoutingMatrix routing(topo);
+  Rng rng(6);
+  const std::vector<double> b = routing.link_loads(random_tm(6, rng));
+  const double inf = std::numeric_limits<double>::infinity();
+  // A row one rack wide on a six-rack topology, and rows with a non-finite
+  // entry (0 * inf would poison every overlap cell it touches).
+  for (const std::vector<std::vector<double>>& activity :
+       {std::vector<std::vector<double>>{{1, 1, 0, 0, 0, 0}, {1}},
+        std::vector<std::vector<double>>{{1, inf, 0, 0, 0, 0}},
+        std::vector<std::vector<double>>{{0, 0, 0, 0, 0, std::nan("")}}}) {
+    const std::string what =
+        error_message([&] { (void)job_augmented_prior(routing, b, activity); });
+    EXPECT_NE(what.find("job_augmented_prior: activity row"), std::string::npos)
+        << "message must name the function: " << what;
+  }
 }
 
 TEST(Metrics, VolumeThresholdAndRmsre) {

@@ -11,7 +11,11 @@ Each `--workload NAME:PAIRS` runs PAIRS pairs of
 on each checkout, alternating which side runs first (pair 0 runs the base
 first).  T is BENCHMARK.json's `run_seconds`, the same on both sides.
 `--traced-pairs N` adds N pairs of `--trace 1` runs per workload, stored
-but not judged: they show where a saving sits, layer by layer.
+but not judged: they show where a saving sits, layer by layer.  Each such
+workload also records `per_layer`: for every `per_layer` metric in
+BENCHMARK.json, the median over the traced runs of each side
+(`{name: {"base": x, "change": y}}`), and the layers non-zero on either
+side are printed.
 
 The output file keeps every run's provenance line and result line verbatim,
 and for each end-to-end metric the per-side median and quartiles and a
@@ -151,6 +155,7 @@ def main():
     bench = json.loads((sides["base"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     specs = {m["name"]: m for m in bench["end_to_end"]}
+    layers = [m["name"] for m in bench["per_layer"]]
     out = {
         "seed": args.seed, "seconds": seconds, "claim": args.claim,
         "sides": {k: {"dir": v.name, "git_head": git_head(v), "src_sha256": src_digest(v)}
@@ -163,6 +168,7 @@ def main():
         n = int(count or 1)
         pairs, traced = [], []
         values = {s: {m: [] for m in specs} for s in sides}
+        layer_values = {s: {m: [] for m in layers} for s in sides}
         for i in range(n + args.traced_pairs):
             trace = int(i >= n)
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
@@ -174,6 +180,10 @@ def main():
                 if result is not None and trace == 0:
                     for m in specs:
                         values[side][m].append(result["metrics"][m]["value"])
+                if result is not None and trace == 1:
+                    for m in layers:
+                        if m in result["metrics"]:
+                            layer_values[side][m].append(result["metrics"][m]["value"])
                 wall = "wall_s" if trace == 0 else "obs.traced_wall_s"
                 print(f"{name} pair {i} {side}: "
                       + (f"{wall}={result['metrics'][wall]['value']}" if result else "NO RESULT")
@@ -183,6 +193,15 @@ def main():
         entry = {"pairs": pairs, "traced_pairs": traced, "metrics": {},
                  "digests_identical": None not in seen and all(d == seen[0] for d in seen)}
         print(f"{name:16} {'digests_identical':22} {entry['digests_identical']}", flush=True)
+        if traced:
+            entry["per_layer"] = {
+                m: {s: statistics.median(layer_values[s][m]) if layer_values[s][m] else None
+                    for s in sides}
+                for m in layers}
+            for m, medians in entry["per_layer"].items():
+                if any(medians.values()):
+                    print(f"{name:16} {m:30} base {medians['base']!s:<22} "
+                          f"change {medians['change']}", flush=True)
         if all(len(values[s][m]) == len(pairs) for s in sides for m in specs):
             for m, spec in specs.items():
                 entry["metrics"][m] = judge(spec, values["base"][m], values["change"][m])
