@@ -214,10 +214,11 @@ void FlowSim::schedule_recompute() {
   push_event(e);
 }
 
-void FlowSim::deposit(ActiveFlow& f, TimeSec up_to) {
+std::size_t FlowSim::deposit(ActiveFlow& f, TimeSec up_to) {
   const TimeSec dt = up_to - f.last_deposit;
-  if (dt <= 0) return;
+  if (dt <= 0) return 0;
   const double moved = std::min(f.remaining, f.rate * dt);
+  std::size_t links = 0;
   if (moved > 0) {
     // Every link series has one shape, and the flows a recompute deposits
     // nearly all cover [previous recompute, now]: that interval is split
@@ -229,8 +230,15 @@ void FlowSim::deposit(ActiveFlow& f, TimeSec up_to) {
       link_series_[static_cast<std::size_t>(l.value())].add_split(deposit_split_, moved);
     }
     f.remaining -= moved;
+    links = f.path.size();
   }
   f.last_deposit = up_to;
+  return links;
+}
+
+void FlowSim::count_deposits(std::size_t flows, std::size_t links) {
+  DCT_OBS_ADD(m_flow_deposits_, flows);
+  DCT_OBS_ADD(m_link_deposits_, links);
 }
 
 void FlowSim::recompute_rates() {
@@ -247,7 +255,16 @@ void FlowSim::recompute_rates() {
   if (n == 0) return;
 
   // Account utilization at the outgoing rates before changing them.
-  for (auto& f : active_) deposit(f, now_);
+  std::size_t flow_deposits = 0;
+  std::size_t link_deposits = 0;
+  for (auto& f : active_) {
+    const std::size_t links = deposit(f, now_);
+    if (links > 0) {
+      ++flow_deposits;
+      link_deposits += links;
+    }
+  }
+  count_deposits(flow_deposits, link_deposits);
 
   // --- Progressive filling (water-filling) max-min fair allocation. -------
   // Phase 1: reset the used links' residuals and flow counts (link_nflows_
@@ -325,6 +342,7 @@ void FlowSim::recompute_rates() {
   }
 
   // Phase 3: bump generations, queue completions, arm stall events.
+  const std::size_t queued_before = completions_.size();
   for (std::size_t i = 0; i < n; ++i) {
     auto& f = active_[i];
     ++f.generation;
@@ -347,6 +365,7 @@ void FlowSim::recompute_rates() {
       f.stall_since = -1;
     }
   }
+  DCT_OBS_ADD(m_completions_queued_, completions_.size() - queued_before);
   std::make_heap(completions_.begin(), completions_.end(), std::greater<>{});
 }
 
@@ -373,7 +392,8 @@ void FlowSim::emit(const FlowRecord& rec) {
 void FlowSim::finalize_flow(std::size_t slot, bool failed, bool truncated) {
   ensure(slot < active_.size(), "finalize_flow: bad slot");
   ActiveFlow& f = active_[slot];
-  deposit(f, now_);
+  const std::size_t links = deposit(f, now_);
+  count_deposits(links > 0 ? 1 : 0, links);
 
   FlowRecord rec = base_record(f);
   const double sent = static_cast<double>(f.spec.bytes) - f.remaining;
@@ -436,8 +456,6 @@ void FlowSim::run() {
       if (slot < 0) continue;  // already gone
       ActiveFlow& f = active_[static_cast<std::size_t>(slot)];
       if (f.generation != c.generation) continue;  // rerouted since the recompute
-      deposit(f, now_);
-      f.remaining = 0;  // absorb float residue: this event is the finish
       finalize_flow(static_cast<std::size_t>(slot), /*failed=*/false,
                     /*truncated=*/false);
       continue;
@@ -493,12 +511,19 @@ FlowSim::NetworkChangeStats FlowSim::handle_network_change() {
   for (const auto& f : active_) ids.push_back(f.id.value());
 
   std::vector<LinkId> fresh;
+  std::size_t flow_deposits = 0;
+  std::size_t link_deposits = 0;
   for (std::int32_t id : ids) {
     const std::ptrdiff_t slot = slot_of(id);
     if (slot < 0) continue;
     ActiveFlow& f = active_[static_cast<std::size_t>(slot)];
     if (net_->path_alive(f.spec.src, f.spec.dst, f.path)) continue;
-    deposit(f, now_);  // account bytes moved on the old path up to the fault
+    // Account bytes moved on the old path up to the fault.
+    const std::size_t links = deposit(f, now_);
+    if (links > 0) {
+      ++flow_deposits;
+      link_deposits += links;
+    }
     if (net_->route_into(f.spec.src, f.spec.dst, fresh) && !fresh.empty()) {
       detach(static_cast<std::size_t>(slot));
       f.path = fresh;
@@ -518,6 +543,8 @@ FlowSim::NetworkChangeStats FlowSim::handle_network_change() {
     }
   }
 
+  count_deposits(flow_deposits, link_deposits);
+
   if (stats.flows_killed > 0 || stats.flows_rerouted > 0) {
     dirty_ = true;
     if (now_ < config_.end_time) schedule_recompute();
@@ -536,6 +563,9 @@ void FlowSim::bind_metrics(obs::Registry& registry) {
   m_bytes_delivered_ = registry.counter("flowsim", "bytes_delivered", "bytes");
   m_recomputes_ = registry.counter("flowsim", "recomputes", "passes");
   m_events_ = registry.counter("flowsim", "events_processed", "events");
+  m_flow_deposits_ = registry.counter("flowsim", "flow_deposits", "deposits");
+  m_link_deposits_ = registry.counter("flowsim", "link_deposits", "deposits");
+  m_completions_queued_ = registry.counter("flowsim", "completions_queued", "completions");
   m_active_flows_ = registry.gauge("flowsim", "active_flows", "flows");
   m_recompute_ns_ = registry.histogram("flowsim", "recompute_wall_ns", "ns");
   m_network_change_ns_ = registry.histogram("flowsim", "network_change_wall_ns", "ns");

@@ -304,7 +304,11 @@ class FlowSim {
   // Add the flow at `slot` to its path links' lists, or take it off them.
   void attach(std::size_t slot);
   void detach(std::size_t slot);
-  void deposit(ActiveFlow& f, TimeSec up_to);
+  // Accounts f's bytes since its last deposit; returns how many link series
+  // took a deposit (its path length, or 0 when it moved no bytes).
+  std::size_t deposit(ActiveFlow& f, TimeSec up_to);
+  // Adds deposit work counted in locals to the counters, once per caller.
+  void count_deposits(std::size_t flows, std::size_t links);
   // The fields a finalized record copies from its flow, ending now; the
   // caller sets bytes_sent, failed and truncated.
   [[nodiscard]] FlowRecord base_record(const ActiveFlow& f) const;
@@ -365,6 +369,9 @@ class FlowSim {
   obs::Counter* m_bytes_delivered_ = nullptr;
   obs::Counter* m_recomputes_ = nullptr;
   obs::Counter* m_events_ = nullptr;
+  obs::Counter* m_flow_deposits_ = nullptr;
+  obs::Counter* m_link_deposits_ = nullptr;
+  obs::Counter* m_completions_queued_ = nullptr;
   obs::Gauge* m_active_flows_ = nullptr;
   obs::Histogram* m_recompute_ns_ = nullptr;
   obs::Histogram* m_network_change_ns_ = nullptr;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -130,6 +131,22 @@ std::uint64_t utilization_digest(const LinkUtilizationMap& util) {
   return fp.value();
 }
 
+// The simulator's work counters (docs/METRICS.md): seed-deterministic, so
+// a change of algorithmic work fails here on any host.
+struct FlowSimWork {
+  std::uint64_t flow_deposits;
+  std::uint64_t link_deposits;
+  std::uint64_t completions_queued;
+};
+
+std::uint64_t counter(const ClusterExperiment& exp, std::string_view full_name) {
+  for (const auto& [name, value] : exp.registry().scalar_snapshot()) {
+    if (name == full_name) return static_cast<std::uint64_t>(value);
+  }
+  ADD_FAILURE() << "no counter " << full_name;
+  return 0;
+}
+
 // Byte pins: FNV-1a of the encoded trace of three seeded scenarios, one
 // fault-free, one with device failures (reroutes and kills) and one with
 // link-capacity overlays, and of the simulator's own per-link byte series,
@@ -138,27 +155,33 @@ std::uint64_t utilization_digest(const LinkUtilizationMap& util) {
 // the fluid arithmetic moves them, so a speed-up that claims identical
 // output must leave them alone.  Every link bin sums deposits in flow
 // order, then path order, so a deposit rewrite that leaves the trace alone
-// can still move the link series.  Re-pin only on purpose, and say why in
-// the commit.
-void expect_pinned(const ScenarioConfig& cfg, std::uint64_t trace, std::uint64_t links) {
+// can still move the link series.  The work counters pin what the
+// simulator did to get there.  Re-pin only on purpose, and say why in the
+// commit.
+void expect_pinned(const ScenarioConfig& cfg, std::uint64_t trace, std::uint64_t links,
+                   FlowSimWork work) {
   ClusterExperiment exp(cfg);
   exp.run();
   EXPECT_EQ(fnv1a(kFnvOffset, encode_trace(exp.trace())), trace);
   EXPECT_EQ(utilization_digest(exp.utilization()), links);
+  EXPECT_EQ(counter(exp, "flowsim.flow_deposits"), work.flow_deposits);
+  EXPECT_EQ(counter(exp, "flowsim.link_deposits"), work.link_deposits);
+  EXPECT_EQ(counter(exp, "flowsim.completions_queued"), work.completions_queued);
 }
 
 TEST(GoldenBytes, TinyTraceIsPinned) {
-  expect_pinned(scenarios::tiny(60.0, 42), 0x10863e4f3b5b8195ULL, 0xd0064595a00ef5b5ULL);
+  expect_pinned(scenarios::tiny(60.0, 42), 0x10863e4f3b5b8195ULL, 0xd0064595a00ef5b5ULL,
+                {21'146, 75'612, 20'477});
 }
 
 TEST(GoldenBytes, FaultStormTraceIsPinned) {
   expect_pinned(scenarios::fault_storm(120.0, 42), 0x2f7887acf0c04667ULL,
-                0x6031f8621489b9f8ULL);
+                0x6031f8621489b9f8ULL, {1'284'533, 5'112'500, 1'165'273});
 }
 
 TEST(GoldenBytes, GrayFailureTraceIsPinned) {
   expect_pinned(scenarios::gray_failure(60.0, 42), 0x12bf2db9b6621e46ULL,
-                0xb2396a2606538b5fULL);
+                0xb2396a2606538b5fULL, {435'327, 1'664'184, 399'071});
 }
 
 // Analysis and decode pins: FNV-1a of each stage's output on fixed inputs.
