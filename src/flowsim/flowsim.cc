@@ -248,23 +248,8 @@ void FlowSim::recompute_rates() {
   const obs::ScopedTimer obs_timer(m_recompute_ns_);
   last_recompute_ = now_;
   dirty_ = false;
-  // Every active flow's generation moves below, so every queued completion
-  // is stale from here on.
-  completions_.clear();
   const std::size_t n = active_.size();
   if (n == 0) return;
-
-  // Account utilization at the outgoing rates before changing them.
-  std::size_t flow_deposits = 0;
-  std::size_t link_deposits = 0;
-  for (auto& f : active_) {
-    const std::size_t links = deposit(f, now_);
-    if (links > 0) {
-      ++flow_deposits;
-      link_deposits += links;
-    }
-  }
-  count_deposits(flow_deposits, link_deposits);
 
   // --- Progressive filling (water-filling) max-min fair allocation. -------
   // Phase 1: reset the used links' residuals and flow counts (link_nflows_
@@ -290,8 +275,10 @@ void FlowSim::recompute_rates() {
   // level.  Freezing every min-share link in one pass is exact (removing a
   // frozen flow from another min-share link keeps that link's share at the
   // water level) and collapses the homogeneous-capacity case into few
-  // iterations.
+  // iterations.  The new rates go to rate_next_; phase 3 compares them
+  // with the old.
   flow_frozen_.assign(n, 0);
+  rate_next_.resize(n);
   std::size_t unfrozen = n;
   std::size_t guard = 0;
   while (unfrozen > 0) {
@@ -312,7 +299,7 @@ void FlowSim::recompute_rates() {
       for (std::size_t i = 0; i < n; ++i) {
         if (!flow_frozen_[i]) {
           flow_frozen_[i] = 1;
-          active_[i].rate = cap;
+          rate_next_[i] = cap;
         }
       }
       unfrozen = 0;
@@ -330,7 +317,7 @@ void FlowSim::recompute_rates() {
         const std::size_t fi = e.slot;
         if (flow_frozen_[fi]) continue;
         flow_frozen_[fi] = 1;
-        active_[fi].rate = min_share;
+        rate_next_[fi] = min_share;
         for (LinkId pl : active_[fi].path) {
           const auto pli = static_cast<std::size_t>(pl.value());
           link_residual_[pli] -= min_share;
@@ -341,16 +328,30 @@ void FlowSim::recompute_rates() {
     }
   }
 
-  // Phase 3: bump generations, queue completions, arm stall events.
-  const std::size_t queued_before = completions_.size();
+  // Phase 3, in active-set order: a flow that is fresh or whose rate moved
+  // deposits at its old rate, takes the new one, has its completion queued,
+  // moved or removed, and has its stall state re-checked.  Any other flow
+  // keeps all of these from the recompute that last set its rate.
+  std::size_t flow_deposits = 0;
+  std::size_t link_deposits = 0;
+  std::size_t queued = 0;
   for (std::size_t i = 0; i < n; ++i) {
     auto& f = active_[i];
-    ++f.generation;
-    if (f.rate > 0) {
-      const TimeSec done = now_ + f.remaining / f.rate;
-      if (done <= config_.end_time) {
-        completions_.push_back({{done, seq_++}, f.id.value(), f.generation});
-      }
+    if (!f.fresh && rate_next_[i] == f.rate) continue;
+    f.fresh = false;
+    const std::size_t links = deposit(f, now_);
+    if (links > 0) {
+      ++flow_deposits;
+      link_deposits += links;
+    }
+    f.rate = rate_next_[i];
+    const TimeSec done = f.rate > 0 ? now_ + f.remaining / f.rate
+                                    : std::numeric_limits<TimeSec>::infinity();
+    if (done <= config_.end_time) {
+      set_completion(i, done);
+      ++queued;
+    } else {
+      drop_completion(i);
     }
     if (f.rate < config_.fail_rate_floor) {
       if (f.stall_since < 0) {
@@ -365,8 +366,51 @@ void FlowSim::recompute_rates() {
       f.stall_since = -1;
     }
   }
-  DCT_OBS_ADD(m_completions_queued_, completions_.size() - queued_before);
-  std::make_heap(completions_.begin(), completions_.end(), std::greater<>{});
+  count_deposits(flow_deposits, link_deposits);
+  DCT_OBS_ADD(m_completions_queued_, queued);
+}
+
+void FlowSim::set_completion(std::size_t slot, TimeSec done) {
+  ActiveFlow& f = active_[slot];
+  if (f.heap_pos == kNoCompletion) {
+    f.heap_pos = static_cast<std::uint32_t>(completions_.size());
+    completions_.emplace_back();
+  }
+  completions_[f.heap_pos] = {{done, seq_++}, static_cast<std::uint32_t>(slot)};
+  restore_heap(f.heap_pos);
+}
+
+void FlowSim::drop_completion(std::size_t slot) {
+  ActiveFlow& f = active_[slot];
+  const std::uint32_t pos = f.heap_pos;
+  if (pos == kNoCompletion) return;
+  f.heap_pos = kNoCompletion;
+  const Completion last = completions_.back();
+  completions_.pop_back();
+  if (pos < completions_.size()) {
+    completions_[pos] = last;
+    restore_heap(pos);
+  }
+}
+
+void FlowSim::restore_heap(std::size_t pos) {
+  const Completion c = completions_[pos];
+  const auto place = [this](std::size_t at, const Completion& e) {
+    completions_[at] = e;
+    active_[e.slot].heap_pos = static_cast<std::uint32_t>(at);
+  };
+  while (pos > 0 && completions_[(pos - 1) / 2] > c) {
+    place(pos, completions_[(pos - 1) / 2]);
+    pos = (pos - 1) / 2;
+  }
+  const std::size_t size = completions_.size();
+  for (std::size_t child = 2 * pos + 1; child < size; child = 2 * pos + 1) {
+    if (child + 1 < size && completions_[child] > completions_[child + 1]) ++child;
+    if (!(c > completions_[child])) break;
+    place(pos, completions_[child]);
+    pos = child;
+  }
+  place(pos, c);
 }
 
 FlowRecord FlowSim::base_record(const ActiveFlow& f) const {
@@ -412,9 +456,11 @@ void FlowSim::finalize_flow(std::size_t slot, bool failed, bool truncated) {
   }
   DCT_OBS_ADD(m_bytes_delivered_, rec.bytes_sent);
   detach(slot);
+  drop_completion(slot);
   CompletionCallback cb = std::move(f.on_complete);
 
-  // Swap-remove, then fix the moved flow's slot index and its list entries.
+  // Swap-remove, then fix the moved flow's slot index, its list entries and
+  // its completion.
   slot_by_flow_[static_cast<std::size_t>(f.id.value())] = -1;
   if (slot != active_.size() - 1) {
     active_[slot] = std::move(active_.back());
@@ -423,6 +469,9 @@ void FlowSim::finalize_flow(std::size_t slot, bool failed, bool truncated) {
     for (std::size_t h = 0; h < moved.path.size(); ++h) {
       link_flows_[static_cast<std::size_t>(moved.path[h].value())][moved.link_pos[h]].slot =
           static_cast<std::uint32_t>(slot);
+    }
+    if (moved.heap_pos != kNoCompletion) {
+      completions_[moved.heap_pos].slot = static_cast<std::uint32_t>(slot);
     }
   }
   active_.pop_back();
@@ -449,15 +498,8 @@ void FlowSim::run() {
     DCT_OBS_INC(m_events_);
 
     if (completion_next) {
-      std::pop_heap(completions_.begin(), completions_.end(), std::greater<>{});
-      const Completion c = completions_.back();
-      completions_.pop_back();
-      const std::ptrdiff_t slot = slot_of(c.flow_id);
-      if (slot < 0) continue;  // already gone
-      ActiveFlow& f = active_[static_cast<std::size_t>(slot)];
-      if (f.generation != c.generation) continue;  // rerouted since the recompute
-      finalize_flow(static_cast<std::size_t>(slot), /*failed=*/false,
-                    /*truncated=*/false);
+      // finalize_flow takes the entry off the heap.
+      finalize_flow(completions_.front().slot, /*failed=*/false, /*truncated=*/false);
       continue;
     }
     const Event e = events_.top();
@@ -510,7 +552,7 @@ FlowSim::NetworkChangeStats FlowSim::handle_network_change() {
   ids.reserve(active_.size());
   for (const auto& f : active_) ids.push_back(f.id.value());
 
-  std::vector<LinkId> fresh;
+  std::vector<LinkId> alternate;
   std::size_t flow_deposits = 0;
   std::size_t link_deposits = 0;
   for (std::int32_t id : ids) {
@@ -524,13 +566,14 @@ FlowSim::NetworkChangeStats FlowSim::handle_network_change() {
       ++flow_deposits;
       link_deposits += links;
     }
-    if (net_->route_into(f.spec.src, f.spec.dst, fresh) && !fresh.empty()) {
+    if (net_->route_into(f.spec.src, f.spec.dst, alternate) && !alternate.empty()) {
       detach(static_cast<std::size_t>(slot));
-      f.path = fresh;
+      f.path = alternate;
       attach(static_cast<std::size_t>(slot));
-      // Invalidate the completion queued at the old rate; the next
-      // recompute reassigns a rate on the new path and re-queues it.
-      ++f.generation;
+      // Drop the completion queued at the old rate; the next recompute
+      // gives the flow a rate on its new path and queues it again.
+      drop_completion(static_cast<std::size_t>(slot));
+      f.fresh = true;
       ++fault_rerouted_;
       ++stats.flows_rerouted;
       DCT_OBS_INC(m_fault_reroutes_);

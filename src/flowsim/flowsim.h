@@ -10,13 +10,14 @@
 // Engine design
 //   * A time-ordered event queue carries user callbacks (the workload layer
 //     schedules job arrivals and reacts to flow completions) plus internal
-//     recompute / stall events.  Flow completions live in a second min-heap
-//     that every recompute clears and rebuilds from the active set (one
-//     entry per flow that finishes within the horizon at its new rate), so
-//     superseded deadlines are dropped rather than popped.  Both queues draw
-//     their tie-break sequence numbers from one counter and the loop always
-//     dispatches the smaller head by (time, seq): events fire in one total
-//     order, as if the two were a single queue.
+//     recompute / stall events.  Flow completions live in a second,
+//     indexed min-heap with at most one entry per flow: each flow knows
+//     where its entry sits, a recompute replaces or removes only the entries
+//     of flows whose rate moved, and a finish, kill or reroute removes its
+//     flow's entry, so no superseded deadline is ever queued.  Both queues
+//     draw their tie-break sequence numbers from one counter and the loop
+//     always dispatches the smaller head by (time, seq): events fire in one
+//     total order, as if the two were a single queue.
 //   * Rate recomputation (progressive filling) is *batched*: the active set
 //     may change many times within `recompute_interval`; rates are refreshed
 //     at most once per interval.  Exact mode (interval 0) recomputes after
@@ -32,14 +33,21 @@
 //     swap-remove; a recompute resets only the links that some list names.
 //     A link's list is not in slot order, and the fill's result does not
 //     depend on that order (docs/PERFORMANCE.md rule 1).
+//   * A recompute touches only the flows whose rate moved (compared
+//     exactly) and the flows started or rerouted since the last one.  Each
+//     such flow deposits its bytes since its last deposit at its old rate,
+//     takes its new rate, and has its completion and stall state redone.
+//     Any other flow keeps its last deposit, its queued completion and its
+//     stall state: its rate, which produced all three, did not change.
 //   * Per-link utilization is accounted exactly for the piecewise-constant
-//     rate process: whenever a flow's rate changes, its contribution since
-//     the previous change is deposited into each on-path link's time series.
-//     Each bin sums deposits in flow order, then path order, each a flow's
-//     own bytes over its own interval; that order is pinned
-//     (docs/PERFORMANCE.md).  The flows last deposited by the previous
-//     recompute share one interval, so deposits reuse the last interval's
-//     split into bins and split again only when the interval changes.
+//     rate process: whenever a flow's rate changes, and when it finishes or
+//     is rerouted, its contribution since its previous deposit goes into
+//     each on-path link's time series.  Each bin sums deposits in event
+//     order, within a recompute in flow order, then path order, each a
+//     flow's own bytes over its own interval; that order is pinned
+//     (docs/PERFORMANCE.md).  Flows that move in consecutive recomputes
+//     share one interval, so deposits reuse the last interval's split into
+//     bins and split again only when the interval changes.
 //   * A flow whose allocated rate stays below `fail_rate_floor` for
 //     `fail_timeout` seconds is killed and recorded as failed — the
 //     mechanism by which congestion causes the read failures of §4.2.
@@ -252,6 +260,8 @@ class FlowSim {
   void bind_metrics(obs::Registry& registry);
 
  private:
+  static constexpr std::uint32_t kNoCompletion = std::numeric_limits<std::uint32_t>::max();
+
   struct ActiveFlow {
     FlowId id;
     FlowSpec spec;
@@ -262,7 +272,8 @@ class FlowSim {
     TimeSec start = 0;
     TimeSec last_deposit = 0;        // utilization accounted up to here
     TimeSec stall_since = -1;        // -1: not stalled
-    std::uint32_t generation = 0;    // invalidates queued completions
+    std::uint32_t heap_pos = kNoCompletion;  // its entry's index in completions_
+    bool fresh = true;               // started or rerouted since the last recompute
     CompletionCallback on_complete;
   };
 
@@ -294,8 +305,7 @@ class FlowSim {
 
   // A flow's finish time at the rate of the recompute that queued it.
   struct Completion : Due {
-    std::int32_t flow_id;
-    std::uint32_t generation;  // the flow's at queue time; a reroute bumps it
+    std::uint32_t slot;  // the flow's active_ slot
   };
 
   void push_event(Event e);
@@ -309,6 +319,12 @@ class FlowSim {
   std::size_t deposit(ActiveFlow& f, TimeSec up_to);
   // Adds deposit work counted in locals to the counters, once per caller.
   void count_deposits(std::size_t flows, std::size_t links);
+  // Queue or move the flow at `slot`'s completion to `done`, or remove it.
+  void set_completion(std::size_t slot, TimeSec done);
+  void drop_completion(std::size_t slot);
+  // Moves the entry at `pos` up or down until completions_ is a heap again,
+  // and tells every entry it moves where it now sits.
+  void restore_heap(std::size_t pos);
   // The fields a finalized record copies from its flow, ending now; the
   // caller sets bytes_sent, failed and truncated.
   [[nodiscard]] FlowRecord base_record(const ActiveFlow& f) const;
@@ -329,7 +345,7 @@ class FlowSim {
   TimeSec last_recompute_ = -std::numeric_limits<TimeSec>::infinity();
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
-  std::vector<Completion> completions_;  // min-heap; rebuilt by every recompute
+  std::vector<Completion> completions_;  // min-heap, at most one entry per flow
   std::vector<UserCallback> user_callbacks_;    // by Event::user_index
   std::vector<std::uint32_t> free_user_slots_;  // dispatched slots, reused by at()
   std::vector<ActiveFlow> active_;  // dense, swap-remove
@@ -355,6 +371,7 @@ class FlowSim {
   std::vector<double> link_residual_;
   std::vector<std::int32_t> link_nflows_;
   std::vector<std::int32_t> bind_links_;     // used links that can set the water level
+  std::vector<BytesPerSec> rate_next_;       // the fill's rate per active_ slot
   IntervalSplit deposit_split_;              // the last deposit's interval over the bins
   std::vector<std::uint8_t> flow_frozen_;
 

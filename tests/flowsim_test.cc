@@ -508,6 +508,38 @@ TEST(FlowSim, TiedUserEventAndCompletionFireInQueueOrder) {
   EXPECT_EQ(order, (std::vector<std::string>{"completion", "user"}));
 }
 
+// A flow whose rate never moves keeps the completion its first recompute
+// queued, bytes / capacity computed once, however many recomputes the churn
+// elsewhere causes.  Re-deriving it at each recompute from a remaining count
+// decremented there would drift in the last bits.
+TEST(FlowSim, UnmovedFlowKeepsItsFirstCompletion) {
+  Topology topo(test_topology());
+  const Bytes bytes = 1'234'567'891;
+  const double capacity = topo.link(topo.server_up_link(ServerId{0})).capacity;
+  for (const TimeSec interval : {0.0, 0.025}) {
+    FlowSimConfig cfg = exact_config();
+    cfg.recompute_interval = interval;
+    FlowSim sim(topo, cfg);
+    const FlowId id = sim.start_flow(flow(ServerId{0}, ServerId{1}, bytes));
+    // Servers 10-19 sit in other racks: the churn shares no link with it.
+    Rng rng(61);
+    for (int i = 0; i < 200; ++i) {
+      const ServerId src{static_cast<std::int32_t>(rng.uniform_int(10, 19))};
+      ServerId dst = src;
+      while (dst == src) dst = ServerId{static_cast<std::int32_t>(rng.uniform_int(10, 19))};
+      const Bytes size = rng.uniform_int(1'000'000, 30'000'000);
+      sim.at(rng.uniform(0.0, 9.0), [=](FlowSim& s) { s.start_flow(flow(src, dst, size)); });
+    }
+    sim.run();
+    EXPECT_GT(sim.recompute_count(), 100u);
+    const auto rec = std::find_if(sim.records().begin(), sim.records().end(),
+                                  [&](const FlowRecord& r) { return r.id == id; });
+    ASSERT_NE(rec, sim.records().end());
+    EXPECT_FALSE(rec->truncated);
+    EXPECT_EQ(rec->end, static_cast<double>(bytes) / capacity) << "interval " << interval;
+  }
+}
+
 TEST(FlowSim, StallDetectorKillsStarvedFlow) {
   Topology topo(test_topology());
   FlowSimConfig cfg = exact_config(100.0);

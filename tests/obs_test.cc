@@ -263,8 +263,9 @@ TEST(Experiment, EventLoopStaysUnderFiveEventsPerFlow) {
     if (s.full_name == "flowsim.flows_started") flows = s.value;
   }
   ASSERT_GT(flows, 0);
-  // Each recompute replaces the completions queued by the one before, so
-  // superseded completions are never popped.
+  // The completion heap holds at most one entry per flow: a recompute moves
+  // only the entries of flows whose rate moved, and a finish, kill or
+  // reroute removes its flow's entry, so no superseded completion is popped.
   EXPECT_LT(events / flows, 5.0);
 }
 

@@ -34,7 +34,12 @@ verdict (docs/PERFORMANCE.md, "Claiming a gain"):
 Each workload also records `digests_identical`: whether every run, on
 both sides and traced or not, reported the same `trace_digest` in its
 provenance line, and the same `pass_digest` where the workload reports
-one.  True means the change did not move the benchmark's outputs.
+one.  True means the change did not move the benchmark's outputs.  It
+also records `work`: each side's median `flows` (from the untraced runs'
+provenance lines) and median `wall_s` per 10^5 flows.  When the digests
+differ, the two sides ran different sample paths, and the tool prints
+`work` so that a faster simulator can be told apart from a path with less
+work.
 
 `--claim WORKLOAD:METRIC` also records that metric's wins, ties and
 losses over pairs and the median difference against the base's
@@ -99,6 +104,23 @@ def digests(run):
         return None
     prov = json.loads(run["provenance"].partition(" ")[2])
     return {k: prov.get(k) for k in ("trace_digest", "pass_digest")}
+
+
+def flows(run):
+    """The flow count a run's provenance line reports, or None without one."""
+    if run["provenance"] is None:
+        return None
+    return json.loads(run["provenance"].partition(" ")[2]).get("flows")
+
+
+def work(pairs, values, side):
+    """One side's median flow count and median wall_s per 10^5 flows."""
+    counts = [flows(pair[side]) for pair in pairs]
+    if not counts or None in counts or len(values) != len(counts):
+        return None
+    return {"flows": statistics.median(counts),
+            "wall_s_per_1e5_flows": statistics.median(
+                w / n * 1e5 for w, n in zip(values, counts) if n)}
 
 
 def ok(result):
@@ -193,6 +215,10 @@ def main():
         entry = {"pairs": pairs, "traced_pairs": traced, "metrics": {},
                  "digests_identical": None not in seen and all(d == seen[0] for d in seen)}
         print(f"{name:16} {'digests_identical':22} {entry['digests_identical']}", flush=True)
+        entry["work"] = {s: work(pairs, values[s]["wall_s"], s) for s in sides}
+        if not entry["digests_identical"]:
+            for s in sides:
+                print(f"{name:16} {'work ' + s:22} {entry['work'][s]}", flush=True)
         if traced:
             entry["per_layer"] = {
                 m: {s: statistics.median(layer_values[s][m]) if layer_values[s][m] else None
