@@ -214,11 +214,10 @@ void FlowSim::schedule_recompute() {
   push_event(e);
 }
 
-std::size_t FlowSim::deposit(ActiveFlow& f, TimeSec up_to) {
+void FlowSim::deposit(ActiveFlow& f, TimeSec up_to) {
   const TimeSec dt = up_to - f.last_deposit;
-  if (dt <= 0) return 0;
+  if (dt <= 0) return;
   const double moved = std::min(f.remaining, f.rate * dt);
-  std::size_t links = 0;
   if (moved > 0) {
     // Every link series has one shape, and the flows a recompute deposits
     // nearly all cover [previous recompute, now]: that interval is split
@@ -230,15 +229,10 @@ std::size_t FlowSim::deposit(ActiveFlow& f, TimeSec up_to) {
       link_series_[static_cast<std::size_t>(l.value())].add_split(deposit_split_, moved);
     }
     f.remaining -= moved;
-    links = f.path.size();
+    DCT_OBS_INC(m_flow_deposits_);
+    DCT_OBS_ADD(m_link_deposits_, f.path.size());
   }
   f.last_deposit = up_to;
-  return links;
-}
-
-void FlowSim::count_deposits(std::size_t flows, std::size_t links) {
-  DCT_OBS_ADD(m_flow_deposits_, flows);
-  DCT_OBS_ADD(m_link_deposits_, links);
 }
 
 void FlowSim::recompute_rates() {
@@ -332,24 +326,16 @@ void FlowSim::recompute_rates() {
   // deposits at its old rate, takes the new one, has its completion queued,
   // moved or removed, and has its stall state re-checked.  Any other flow
   // keeps all of these from the recompute that last set its rate.
-  std::size_t flow_deposits = 0;
-  std::size_t link_deposits = 0;
-  std::size_t queued = 0;
   for (std::size_t i = 0; i < n; ++i) {
     auto& f = active_[i];
     if (!f.fresh && rate_next_[i] == f.rate) continue;
     f.fresh = false;
-    const std::size_t links = deposit(f, now_);
-    if (links > 0) {
-      ++flow_deposits;
-      link_deposits += links;
-    }
+    deposit(f, now_);
     f.rate = rate_next_[i];
     const TimeSec done = f.rate > 0 ? now_ + f.remaining / f.rate
                                     : std::numeric_limits<TimeSec>::infinity();
     if (done <= config_.end_time) {
       set_completion(i, done);
-      ++queued;
     } else {
       drop_completion(i);
     }
@@ -366,8 +352,6 @@ void FlowSim::recompute_rates() {
       f.stall_since = -1;
     }
   }
-  count_deposits(flow_deposits, link_deposits);
-  DCT_OBS_ADD(m_completions_queued_, queued);
 }
 
 void FlowSim::set_completion(std::size_t slot, TimeSec done) {
@@ -378,6 +362,7 @@ void FlowSim::set_completion(std::size_t slot, TimeSec done) {
   }
   completions_[f.heap_pos] = {{done, seq_++}, static_cast<std::uint32_t>(slot)};
   restore_heap(f.heap_pos);
+  DCT_OBS_INC(m_completions_queued_);
 }
 
 void FlowSim::drop_completion(std::size_t slot) {
@@ -436,8 +421,7 @@ void FlowSim::emit(const FlowRecord& rec) {
 void FlowSim::finalize_flow(std::size_t slot, bool failed, bool truncated) {
   ensure(slot < active_.size(), "finalize_flow: bad slot");
   ActiveFlow& f = active_[slot];
-  const std::size_t links = deposit(f, now_);
-  count_deposits(links > 0 ? 1 : 0, links);
+  deposit(f, now_);
 
   FlowRecord rec = base_record(f);
   const double sent = static_cast<double>(f.spec.bytes) - f.remaining;
@@ -553,19 +537,12 @@ FlowSim::NetworkChangeStats FlowSim::handle_network_change() {
   for (const auto& f : active_) ids.push_back(f.id.value());
 
   std::vector<LinkId> alternate;
-  std::size_t flow_deposits = 0;
-  std::size_t link_deposits = 0;
   for (std::int32_t id : ids) {
     const std::ptrdiff_t slot = slot_of(id);
     if (slot < 0) continue;
     ActiveFlow& f = active_[static_cast<std::size_t>(slot)];
     if (net_->path_alive(f.spec.src, f.spec.dst, f.path)) continue;
-    // Account bytes moved on the old path up to the fault.
-    const std::size_t links = deposit(f, now_);
-    if (links > 0) {
-      ++flow_deposits;
-      link_deposits += links;
-    }
+    deposit(f, now_);  // account bytes moved on the old path up to the fault
     if (net_->route_into(f.spec.src, f.spec.dst, alternate) && !alternate.empty()) {
       detach(static_cast<std::size_t>(slot));
       f.path = alternate;
@@ -585,8 +562,6 @@ FlowSim::NetworkChangeStats FlowSim::handle_network_change() {
                     /*truncated=*/false);
     }
   }
-
-  count_deposits(flow_deposits, link_deposits);
 
   if (stats.flows_killed > 0 || stats.flows_rerouted > 0) {
     dirty_ = true;

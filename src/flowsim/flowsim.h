@@ -314,11 +314,7 @@ class FlowSim {
   // Add the flow at `slot` to its path links' lists, or take it off them.
   void attach(std::size_t slot);
   void detach(std::size_t slot);
-  // Accounts f's bytes since its last deposit; returns how many link series
-  // took a deposit (its path length, or 0 when it moved no bytes).
-  std::size_t deposit(ActiveFlow& f, TimeSec up_to);
-  // Adds deposit work counted in locals to the counters, once per caller.
-  void count_deposits(std::size_t flows, std::size_t links);
+  void deposit(ActiveFlow& f, TimeSec up_to);
   // Queue or move the flow at `slot`'s completion to `done`, or remove it.
   void set_completion(std::size_t slot, TimeSec done);
   void drop_completion(std::size_t slot);
