@@ -72,7 +72,7 @@ void BM_EncodeServerLog(benchmark::State& state) {
   state.counters["encoded_bytes/flow"] =
       static_cast<double>(encoded_size) / static_cast<double>(state.range(0));
   state.counters["compression_vs_raw"] =
-      static_cast<double>(dct::raw_encoding_size(log)) /
+      static_cast<double>(dct::raw_encoding_size(log.flows.size())) /
       static_cast<double>(encoded_size);
 }
 BENCHMARK(BM_EncodeServerLog)->Arg(1000)->Arg(10000)->Arg(100000);

@@ -66,7 +66,7 @@ void accumulate_sq_rel_err(const std::vector<dct::SparseTm>& truth,
 std::size_t socket_record_count(const dct::ClusterTrace& trace) {
   std::size_t n = 0;
   for (std::int32_t s = 0; s < trace.server_count(); ++s) {
-    n += trace.server_log(dct::ServerId{s}).flows.size();
+    n += trace.server_log(dct::ServerId{s}).size();
   }
   return n;
 }

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   // Size accounting against the naive fixed-width dump.
   std::size_t raw = 0;
   for (std::int32_t s = 0; s < trace.server_count(); ++s) {
-    raw += dct::raw_encoding_size(trace.server_log(dct::ServerId{s}));
+    raw += dct::raw_encoding_size(trace.server_log(dct::ServerId{s}).size());
   }
 
   // "Download and analyze".

@@ -60,9 +60,9 @@ InterArrivalStats inter_arrival_stats(const ClusterTrace& trace, const Topology&
     const std::int32_t n = topo.internal_server_count();
     std::vector<double> starts;
     for (std::int32_t s = 0; s < n; ++s) {
-      const auto& log = trace.server_log(ServerId{s}).flows;
+      const ServerLogView log = trace.server_log(ServerId{s});
       starts.clear();
-      for (const SocketFlowLog& f : log) starts.push_back(f.start);
+      for (std::size_t i = 0; i < log.size(); ++i) starts.push_back(log[i].start);
       collect_gaps(starts, gaps);
     }
   } else {

@@ -62,30 +62,52 @@ DenseTorTm DenseTorTm::from_sparse(const SparseTm& tm) {
 RoutingMatrix::RoutingMatrix(const Topology& topo) : n_(topo.rack_count()) {
   // Measured links: every inter-switch link, densely re-indexed.
   measured_of_link_.assign(static_cast<std::size_t>(topo.link_count()), -1);
+  link_ids_.reserve(topo.inter_switch_links().size());
   for (LinkId l : topo.inter_switch_links()) {
     measured_of_link_[static_cast<std::size_t>(l.value())] =
         static_cast<std::int32_t>(link_ids_.size());
     link_ids_.push_back(l);
   }
 
-  offsets_.reserve(static_cast<std::size_t>(n_) * n_ + 1);
+  // Each rack's measured ToR links and aggregation switch, and each
+  // switch's measured core links, looked up once.
+  const auto n = static_cast<std::size_t>(n_);
+  const auto measured = [&](LinkId l) {
+    const std::int32_t idx = measured_index(l);
+    ensure(idx >= 0, "unmeasured link on a ToR path");
+    return idx;
+  };
+  std::vector<std::int32_t> tor_up(n), tor_down(n), agg_of(n);
+  for (std::int32_t r = 0; r < n_; ++r) {
+    const auto k = static_cast<std::size_t>(r);
+    tor_up[k] = measured(topo.tor_up_link(RackId{r}));
+    tor_down[k] = measured(topo.tor_down_link(RackId{r}));
+    agg_of[k] = topo.agg_of(RackId{r});
+  }
+  const auto n_aggs = static_cast<std::size_t>(topo.agg_count());
+  std::vector<std::int32_t> agg_up(n_aggs), agg_down(n_aggs);
+  for (std::int32_t a = 0; a < topo.agg_count(); ++a) {
+    agg_up[static_cast<std::size_t>(a)] = measured(topo.agg_up_link(a));
+    agg_down[static_cast<std::size_t>(a)] = measured(topo.agg_down_link(a));
+  }
+
+  // At most four hops per OD pair.
+  links_.reserve(4 * n * n);
+  offsets_.reserve(n * n + 1);
   offsets_.push_back(0);
-  for (std::int32_t i = 0; i < n_; ++i) {
-    for (std::int32_t j = 0; j < n_; ++j) {
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
       if (i != j) {
-        const RackId ri{i};
-        const RackId rj{j};
-        links_.push_back(measured_index(topo.tor_up_link(ri)));
-        if (topo.agg_of(ri) != topo.agg_of(rj)) {
-          links_.push_back(measured_index(topo.agg_up_link(topo.agg_of(ri))));
-          links_.push_back(measured_index(topo.agg_down_link(topo.agg_of(rj))));
+        links_.push_back(tor_up[i]);
+        if (agg_of[i] != agg_of[j]) {
+          links_.push_back(agg_up[static_cast<std::size_t>(agg_of[i])]);
+          links_.push_back(agg_down[static_cast<std::size_t>(agg_of[j])]);
         }
-        links_.push_back(measured_index(topo.tor_down_link(rj)));
+        links_.push_back(tor_down[j]);
       }
       offsets_.push_back(static_cast<std::int32_t>(links_.size()));
     }
   }
-  for (std::int32_t idx : links_) ensure(idx >= 0, "unmeasured link on a ToR path");
 }
 
 std::int32_t RoutingMatrix::measured_index(LinkId l) const {

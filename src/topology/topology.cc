@@ -58,6 +58,11 @@ Topology::Topology(TopologyConfig config) : config_(config) {
   tor_down_.resize(n_racks);
   agg_up_.resize(n_aggs);
   agg_down_.resize(n_aggs);
+  // Two directed links per server, per ToR uplink and per aggregation
+  // switch; a redundant topology has a second uplink per ToR.
+  const std::size_t n_tor_uplinks = n_racks * (has_redundant_uplinks() ? 2 : 1);
+  links_.reserve(2 * (n_servers + n_tor_uplinks + n_aggs));
+  inter_switch_links_.reserve(2 * (n_tor_uplinks + n_aggs));
 
   auto add_link = [&](LinkKind kind, BytesPerSec cap, std::int32_t entity) {
     links_.push_back(Link{kind, cap, entity});

@@ -52,10 +52,7 @@ ClusterTrace::ClusterTrace(std::int32_t server_count, TimeSec duration)
     : duration_(duration) {
   require(server_count >= 1, "ClusterTrace: need at least one server");
   require(duration > 0, "ClusterTrace: duration must be > 0");
-  server_logs_.resize(static_cast<std::size_t>(server_count));
-  for (std::int32_t s = 0; s < server_count; ++s) {
-    server_logs_[static_cast<std::size_t>(s)].server = ServerId{s};
-  }
+  server_entries_.resize(static_cast<std::size_t>(server_count));
 }
 
 void ClusterTrace::record_flow(const FlowRecord& rec) {
@@ -73,6 +70,9 @@ void ClusterTrace::record_flow(const FlowRecord& rec) {
   };
   check_endpoint(rec.src, "src");
   check_endpoint(rec.dst, "dst");
+  // An entry keeps the flow's index in its upper 31 bits.
+  require(flows_.size() < (std::size_t{1} << 31),
+          "record_flow: trace is full, a flow index must fit in 31 bits");
 
   SocketFlowLog log;
   log.flow = rec.id;
@@ -89,23 +89,20 @@ void ClusterTrace::record_flow(const FlowRecord& rec) {
   log.phase = rec.phase;
   log.kind = rec.kind;
 
-  server_logs_[static_cast<std::size_t>(rec.src.value())].flows.push_back(log);
+  const auto entry = static_cast<std::uint32_t>(flows_.size()) << 1;
   flows_.push_back(log);
+  server_entries_[static_cast<std::size_t>(rec.src.value())].push_back(entry);
+  server_entries_[static_cast<std::size_t>(rec.dst.value())].push_back(entry | 1u);
   // Saturate instead of overflowing: a decoded trace may carry arbitrary
   // per-flow byte counts, and the sum wrapping would be UB.
   if (__builtin_add_overflow(total_bytes_, rec.bytes_sent, &total_bytes_)) {
     total_bytes_ = std::numeric_limits<Bytes>::max();
   }
-
-  log.local = rec.dst;
-  log.peer = rec.src;
-  log.direction = SocketDirection::kRecv;
-  server_logs_[static_cast<std::size_t>(rec.dst.value())].flows.push_back(log);
 }
 
-const ServerLog& ClusterTrace::server_log(ServerId s) const {
+ServerLogView ClusterTrace::server_log(ServerId s) const {
   require(s.valid() && s.value() < server_count(), "server_log: out of range");
-  return server_logs_[static_cast<std::size_t>(s.value())];
+  return {s, flows_, server_entries_[static_cast<std::size_t>(s.value())]};
 }
 
 std::optional<PhaseKind> ClusterTrace::phase_kind(PhaseId phase) const {
@@ -157,7 +154,7 @@ void ClusterTrace::record_gap(const GapRecord& rec) {
 }
 
 void ClusterTrace::rebuild_merged_gaps() const {
-  merged_gaps_.assign(server_logs_.size(), {});
+  merged_gaps_.assign(server_entries_.size(), {});
   for (const GapRecord& g : gaps_) {
     merged_gaps_[static_cast<std::size_t>(g.server.value())].emplace_back(g.start,
                                                                           g.end);

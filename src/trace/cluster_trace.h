@@ -2,15 +2,18 @@
 //
 // One ClusterTrace is what two months of the paper's instrumentation yields
 // after upload: every server's socket-level flow log plus the cluster's
-// application logs, with enough metadata to interpret them.  The analysis
-// layer (traffic matrices, congestion, flow statistics) and the tomography
-// layer both consume this type; nothing downstream of the trace touches the
-// simulator, mirroring the paper's separation between collection and
-// analysis.
+// application logs, with enough metadata to interpret them.  Each server
+// logs its own sockets, but the trace keeps the merged view the analysis
+// works on: each network flow once, with the per-server logs as views of
+// it.  The analysis layer (traffic matrices, congestion, flow statistics)
+// and the tomography layer both consume this type; nothing downstream of
+// the trace touches the simulator, mirroring the paper's separation between
+// collection and analysis.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -22,14 +25,49 @@ namespace dct {
 class Topology;
 class FlowSim;
 
-/// Per-server socket log: all flows this server participated in, in the
-/// order they finalized.
+/// One server's socket log as uploaded: all flows this server participated
+/// in, in the order they finalized.  The codec's unit for one upload
+/// (encode_server_log / decode_server_log); a ClusterTrace does not store
+/// these, it serves each server's log as a ServerLogView.
 struct ServerLog {
   ServerId server;
   std::vector<SocketFlowLog> flows;
 };
 
-/// Cluster-wide trace: per-server socket logs + application logs.
+/// One server's socket log, read from the trace's single copy of each flow.
+/// Entry i is built on read: a send entry is the flow's record as stored; a
+/// receive entry swaps `local` and `peer` and sets kRecv.  A view reads the
+/// trace it came from, so it is valid while that trace is alive and
+/// unmoved, and it sees flows recorded after it was made.
+class ServerLogView {
+ public:
+  [[nodiscard]] ServerId server() const noexcept { return server_; }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_->size(); }
+  [[nodiscard]] bool empty() const noexcept { return entries_->empty(); }
+  /// Entry i in record order (unchecked, like std::vector::operator[]).
+  [[nodiscard]] SocketFlowLog operator[](std::size_t i) const {
+    const std::uint32_t entry = (*entries_)[i];
+    SocketFlowLog f = (*flows_)[entry >> 1];
+    if ((entry & 1u) != 0) {
+      std::swap(f.local, f.peer);
+      f.direction = SocketDirection::kRecv;
+    }
+    return f;
+  }
+
+ private:
+  friend class ClusterTrace;
+  ServerLogView(ServerId server, const std::vector<SocketFlowLog>& flows,
+                const std::vector<std::uint32_t>& entries) noexcept
+      : server_(server), flows_(&flows), entries_(&entries) {}
+
+  ServerId server_;
+  const std::vector<SocketFlowLog>* flows_;
+  const std::vector<std::uint32_t>* entries_;
+};
+
+/// Cluster-wide trace: every network flow once, each server's socket log as
+/// a view over those flows, and the application logs.
 class ClusterTrace {
  public:
   /// Creates an empty trace for a cluster of `server_count` servers
@@ -56,13 +94,14 @@ class ClusterTrace {
 
   // --- Metadata -------------------------------------------------------------
   [[nodiscard]] std::int32_t server_count() const noexcept {
-    return static_cast<std::int32_t>(server_logs_.size());
+    return static_cast<std::int32_t>(server_entries_.size());
   }
   [[nodiscard]] TimeSec duration() const noexcept { return duration_; }
 
   // --- Socket-level views ----------------------------------------------------
-  /// The socket log of one server.
-  [[nodiscard]] const ServerLog& server_log(ServerId s) const;
+  /// The socket log of one server: the flows it sent or received, in
+  /// record order, each seen from `s`'s end.
+  [[nodiscard]] ServerLogView server_log(ServerId s) const;
 
   /// A unified flow view: every *network* flow exactly once (the sender's
   /// record), in finalization order.  Loopback never appears (local reads
@@ -132,8 +171,10 @@ class ClusterTrace {
 
  private:
   TimeSec duration_;
-  std::vector<ServerLog> server_logs_;
   std::vector<SocketFlowLog> flows_;
+  /// Per server, in record order: a flows_ index shifted left by one, the
+  /// low bit set for a receive entry.
+  std::vector<std::vector<std::uint32_t>> server_entries_;
   Bytes total_bytes_ = 0;
   std::vector<JobLogRecord> jobs_;
   std::vector<PhaseLogRecord> phases_;
@@ -151,8 +192,9 @@ class ClusterTrace {
   void rebuild_merged_gaps() const;
 };
 
-/// Connects a FlowSim to a ClusterTrace: installs a record sink that turns
-/// every finalized FlowRecord into sender- and receiver-side socket logs.
+/// Connects a FlowSim to a ClusterTrace: installs a record sink that
+/// records every finalized FlowRecord, which both endpoints' socket logs
+/// then show.
 /// Keeps overhead counters so the instrumentation-cost experiment (§2) can
 /// report events/bytes logged per server.
 class TraceCollector {

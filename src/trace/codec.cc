@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/require.h"
 
@@ -124,20 +125,22 @@ void unpack_flags(std::uint8_t b, SocketFlowLog& f) {
   f.truncated = (b & 0x20) != 0;
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_server_log(const ServerLog& log) {
+// The one server-log encoder.  `flows` is a decoded upload's vector or a
+// ClusterTrace's ServerLogView: anything with size() and operator[].
+template <typename Flows>
+std::vector<std::uint8_t> encode_log(ServerId server, const Flows& flows) {
   ByteWriter w;
   w.u8(kLogMagic);
-  w.svarint(log.server.value());
-  w.uvarint(log.flows.size());
+  w.svarint(server.value());
+  w.uvarint(flows.size());
 
   // Delta state.  Logs finalize in end-time order, so delta-encoding end
   // times yields tiny non-negative values; start is encoded relative to end
   // (a small negative = -duration); ids are near-monotonic.
   std::int64_t prev_end = 0;
   std::int64_t prev_flow = 0;
-  for (const SocketFlowLog& f : log.flows) {
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const SocketFlowLog f = flows[i];
     const std::int64_t end_us = ByteWriter::quantize_time(f.end);
     const std::int64_t start_us = ByteWriter::quantize_time(f.start);
     w.svarint(end_us - prev_end);
@@ -155,6 +158,12 @@ std::vector<std::uint8_t> encode_server_log(const ServerLog& log) {
     w.u8(pack_flags(f));
   }
   return w.take();
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_server_log(const ServerLog& log) {
+  return encode_log(log.server, log.flows);
 }
 
 ServerLog decode_server_log(std::span<const std::uint8_t> data) {
@@ -194,12 +203,12 @@ ServerLog decode_server_log(std::span<const std::uint8_t> data) {
   return out;
 }
 
-std::size_t raw_encoding_size(const ServerLog& log) noexcept {
+std::size_t raw_encoding_size(std::size_t records) noexcept {
   // A naive dump writes each record as fixed-width fields:
   //   flow id 4, local 4, peer 4, dir/flags/kind 1, start 8, end 8,
   //   bytes 8, bytes_requested 8, job 4, phase 4  = 53 bytes.
   constexpr std::size_t kRawRecord = 53;
-  return 16 + log.flows.size() * kRawRecord;
+  return 16 + records * kRawRecord;
 }
 
 std::vector<std::uint8_t> encode_trace(const ClusterTrace& trace) {
@@ -211,9 +220,9 @@ std::vector<std::uint8_t> encode_trace(const ClusterTrace& trace) {
   w.time_us(trace.duration());
 
   for (std::int32_t s = 0; s < trace.server_count(); ++s) {
-    const auto encoded = encode_server_log(trace.server_log(ServerId{s}));
+    const auto encoded = encode_log(ServerId{s}, trace.server_log(ServerId{s}));
     w.uvarint(encoded.size());
-    for (std::uint8_t b : encoded) w.u8(b);
+    w.append(encoded);
   }
 
   w.uvarint(trace.jobs().size());
@@ -310,14 +319,20 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data) {
 
   // One pass per server: read the segment's length, decode it, ingest it,
   // so only one server's decoded log is held at a time.  Errors surface in
-  // server order: an earlier server's decode or record_flow error comes
-  // before a later server's framing error.
+  // server order: an earlier server's decode, naming or record_flow error
+  // comes before a later server's framing error.
   for (std::int32_t s = 0; s < servers; ++s) {
     const std::uint64_t len = r.uvarint();
     require(len <= r.remaining(), "decode_trace: truncated server log");
     const ServerLog log =
         decode_server_log(data.subspan(r.position(), static_cast<std::size_t>(len)));
     r.skip(static_cast<std::size_t>(len));
+    // Every entry's `local` comes from the segment's header, so a header
+    // naming another server would move this slot's flows there.
+    if (log.server != ServerId{s}) {
+      require(false, "decode_trace: server log " + std::to_string(s) + " names server " +
+                         std::to_string(log.server.value()));
+    }
     for (const SocketFlowLog& f : log.flows) {
       if (f.direction != SocketDirection::kSend) continue;
       FlowRecord rec;

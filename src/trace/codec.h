@@ -23,6 +23,10 @@ namespace dct {
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
+  /// Appends `bytes` verbatim.
+  void append(std::span<const std::uint8_t> bytes) {
+    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  }
   /// Unsigned LEB128.
   void uvarint(std::uint64_t v);
   /// Zig-zag signed LEB128.
@@ -71,9 +75,9 @@ class ByteReader {
 /// Inverse of encode_server_log.
 [[nodiscard]] ServerLog decode_server_log(std::span<const std::uint8_t> data);
 
-/// Size of the naive fixed-width binary dump of the same log, the baseline
-/// the compression ratio is quoted against.
-[[nodiscard]] std::size_t raw_encoding_size(const ServerLog& log) noexcept;
+/// Size of the naive fixed-width binary dump of a log of `records` socket
+/// records, the baseline the compression ratio is quoted against.
+[[nodiscard]] std::size_t raw_encoding_size(std::size_t records) noexcept;
 
 /// Serializes an entire ClusterTrace (all server logs + application logs)
 /// in the one sectioned layout (version byte 5): every section — device

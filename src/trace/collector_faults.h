@@ -205,10 +205,10 @@ struct LossyCollection {
 ///    recorded on the merged trace so gap-aware analysis can correct for
 ///    them.
 ///
-/// One pass is exact because ClusterTrace::record_flow is the only writer
-/// of the server logs, and it writes both copies of a flow with the flow's
-/// own fields and end time.  Nothing is keyed on the flow id, so ids need
-/// not be unique.
+/// One pass is exact because a ClusterTrace's server logs are views of its
+/// flows(): a flow's send copy and receive copy are two views of one stored
+/// record, so both carry the flow's own fields and end time.  Nothing is
+/// keyed on the flow id, so ids need not be unique.
 ///
 /// Because the original global finalization order is unrecoverable from
 /// partial uploads, merged flows are emitted in the canonical order

@@ -21,9 +21,9 @@ namespace dct {
 enum class SocketDirection : std::uint8_t { kSend, kRecv };
 
 /// One flow as logged by a server's socket instrumentation.  Each network
-/// flow appears twice in a cluster trace: once in the sender's log (kSend)
-/// and once in the receiver's (kRecv); the sender's copy is authoritative
-/// when a unified flow view is needed.
+/// flow appears in two servers' logs: the sender's (kSend) and the
+/// receiver's (kRecv).  A cluster trace stores the sender's record once and
+/// builds the receiver's entry from it on read.
 struct SocketFlowLog {
   FlowId flow;
   ServerId local;   ///< the logging server

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -28,6 +30,41 @@ TEST(InvariantRegistry, BuiltinCatalogueIsComplete) {
     EXPECT_NE(reg.find(name), nullptr) << name;
   }
   EXPECT_EQ(reg.find("no.such.invariant"), nullptr);
+}
+
+// docs/TESTING.md's invariant table is the builtin catalogue: one row per
+// invariant, its text the registry's description verbatim, as
+// `proptest --list` prints it.  DCT_TESTING_DOC is injected by CMake.
+TEST(InvariantRegistry, TestingDocTableIsTheBuiltinCatalogue) {
+  std::ifstream doc(DCT_TESTING_DOC);
+  ASSERT_TRUE(doc) << "cannot read " << DCT_TESTING_DOC;
+  // Rows look like "| `name` | description |".
+  std::map<std::string, std::string> rows;
+  bool in_table = false;
+  for (std::string line; std::getline(doc, line);) {
+    if (line == "| Invariant | What it asserts |") {
+      in_table = true;
+      continue;
+    }
+    if (!in_table) continue;
+    if (!line.starts_with("|")) break;
+    if (line.starts_with("| ---")) continue;
+    const auto open = line.find('`');
+    const auto close = line.find("` | ", open + 1);
+    ASSERT_TRUE(open != std::string::npos && close != std::string::npos &&
+                line.ends_with(" |"))
+        << "malformed row: " << line;
+    const auto text = close + 4;
+    rows[line.substr(open + 1, close - open - 1)] =
+        line.substr(text, line.size() - 2 - text);
+  }
+  const auto& invariants = InvariantRegistry::builtin().invariants();
+  EXPECT_EQ(rows.size(), invariants.size());
+  for (const auto& inv : invariants) {
+    const auto row = rows.find(inv.name);
+    ASSERT_NE(row, rows.end()) << "docs/TESTING.md has no row for " << inv.name;
+    EXPECT_EQ(row->second, inv.description) << inv.name;
+  }
 }
 
 TEST(InvariantRegistry, CleanRunPassesEveryInvariant) {

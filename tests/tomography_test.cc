@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "analysis/traffic_matrix.h"
 #include "common/require.h"
@@ -40,6 +41,7 @@ TEST(RoutingMatrix, PathsUseMeasuredLinksOnly) {
   RoutingMatrix routing(topo);
   EXPECT_EQ(routing.tor_count(), 6);
   EXPECT_EQ(routing.link_count(), 6 * 2 + 2 * 2);
+  std::vector<LinkId> route;
   for (std::int32_t i = 0; i < 6; ++i) {
     for (std::int32_t j = 0; j < 6; ++j) {
       if (i == j) continue;
@@ -53,6 +55,18 @@ TEST(RoutingMatrix, PathsUseMeasuredLinksOnly) {
       // First hop is i's ToR uplink; last is j's ToR downlink.
       EXPECT_EQ(routing.link_at(path.front()), topo.tor_up_link(RackId{i}));
       EXPECT_EQ(routing.link_at(path.back()), topo.tor_down_link(RackId{j}));
+      // Hop by hop, the path is the measured part of the route a flow from
+      // a server of rack i to a server of rack j takes.
+      topo.route_into(topo.servers_in_rack(RackId{i}).front(),
+                      topo.servers_in_rack(RackId{j}).back(), route);
+      std::vector<LinkId> measured;
+      for (LinkId l : route) {
+        if (routing.measured_index(l) >= 0) measured.push_back(l);
+      }
+      ASSERT_EQ(path.size(), measured.size()) << i << " -> " << j;
+      for (std::size_t h = 0; h < path.size(); ++h) {
+        EXPECT_EQ(routing.link_at(path[h]), measured[h]) << i << " -> " << j << " hop " << h;
+      }
     }
   }
   EXPECT_THROW((void)routing.path(0, 0), Error);

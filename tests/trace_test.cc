@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "common/require.h"
+#include "core/experiment.h"
 #include "flowsim/flowsim.h"
 #include "topology/topology.h"
+#include "trace/codec.h"
 
 namespace dct {
 namespace {
@@ -28,22 +33,22 @@ TEST(ClusterTrace, RecordsSenderAndReceiverViews) {
   trace.record_flow(make_record(0, 1, 2, 1000, 0.0, 1.0));
   EXPECT_EQ(trace.flow_count(), 1u);
   EXPECT_EQ(trace.total_bytes(), 1000);
-  const auto& sender = trace.server_log(ServerId{1});
-  ASSERT_EQ(sender.flows.size(), 1u);
-  EXPECT_EQ(sender.flows[0].direction, SocketDirection::kSend);
-  EXPECT_EQ(sender.flows[0].peer, ServerId{2});
-  const auto& receiver = trace.server_log(ServerId{2});
-  ASSERT_EQ(receiver.flows.size(), 1u);
-  EXPECT_EQ(receiver.flows[0].direction, SocketDirection::kRecv);
-  EXPECT_EQ(receiver.flows[0].peer, ServerId{1});
-  EXPECT_TRUE(trace.server_log(ServerId{0}).flows.empty());
+  const auto sender = trace.server_log(ServerId{1});
+  ASSERT_EQ(sender.size(), 1u);
+  EXPECT_EQ(sender[0].direction, SocketDirection::kSend);
+  EXPECT_EQ(sender[0].peer, ServerId{2});
+  const auto receiver = trace.server_log(ServerId{2});
+  ASSERT_EQ(receiver.size(), 1u);
+  EXPECT_EQ(receiver[0].direction, SocketDirection::kRecv);
+  EXPECT_EQ(receiver[0].peer, ServerId{1});
+  EXPECT_TRUE(trace.server_log(ServerId{0}).empty());
 }
 
 TEST(ClusterTrace, LoopbackIsNotASocketEvent) {
   ClusterTrace trace(4, 100.0);
   trace.record_flow(make_record(0, 2, 2, 1000, 0.0, 1.0));
   EXPECT_EQ(trace.flow_count(), 0u);
-  EXPECT_TRUE(trace.server_log(ServerId{2}).flows.empty());
+  EXPECT_TRUE(trace.server_log(ServerId{2}).empty());
 }
 
 TEST(ClusterTrace, RejectsOutOfRangeServers) {
@@ -52,6 +57,49 @@ TEST(ClusterTrace, RejectsOutOfRangeServers) {
   EXPECT_THROW((void)trace.server_log(ServerId{99}), Error);
   EXPECT_THROW(ClusterTrace(0, 100.0), Error);
   EXPECT_THROW(ClusterTrace(4, 0.0), Error);
+}
+
+auto fields(const SocketFlowLog& f) {
+  return std::tuple(f.flow, f.local, f.peer, f.direction, f.start, f.end, f.bytes,
+                    f.bytes_requested, f.failed, f.truncated, f.job, f.phase, f.kind);
+}
+
+// Rebuilds every server's log from flows() alone, in flows() order: a send
+// entry at the flow's sender, and at its receiver the same record with the
+// endpoints swapped and direction kRecv.  Then compares every field with
+// the trace's own view of that server's log.
+void expect_logs_rebuilt_from_flows(const ClusterTrace& trace) {
+  std::vector<std::vector<SocketFlowLog>> expected(
+      static_cast<std::size_t>(trace.server_count()));
+  for (const SocketFlowLog& f : trace.flows()) {
+    ASSERT_EQ(f.direction, SocketDirection::kSend);
+    expected[static_cast<std::size_t>(f.local.value())].push_back(f);
+    SocketFlowLog recv = f;
+    recv.local = f.peer;
+    recv.peer = f.local;
+    recv.direction = SocketDirection::kRecv;
+    expected[static_cast<std::size_t>(f.peer.value())].push_back(recv);
+  }
+  for (std::int32_t s = 0; s < trace.server_count(); ++s) {
+    const ServerLogView log = trace.server_log(ServerId{s});
+    const auto& want = expected[static_cast<std::size_t>(s)];
+    EXPECT_EQ(log.server(), ServerId{s});
+    EXPECT_EQ(log.empty(), want.empty());
+    ASSERT_EQ(log.size(), want.size()) << "server " << s;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(fields(log[i]), fields(want[i])) << "server " << s << " entry " << i;
+    }
+  }
+}
+
+TEST(ClusterTrace, ServerLogIsEachFlowSeenFromBothEnds) {
+  ClusterExperiment exp(scenarios::fault_storm(120.0, 42));
+  exp.run();
+  ASSERT_GT(exp.trace().flow_count(), 0u);
+  expect_logs_rebuilt_from_flows(exp.trace());
+  // The decoded trace records the send entries server by server, so its
+  // flows() order differs; its logs must still be views of its flows.
+  expect_logs_rebuilt_from_flows(decode_trace(encode_trace(exp.trace())));
 }
 
 TEST(ClusterTrace, PhaseKindJoin) {
