@@ -56,6 +56,18 @@ std::vector<AnomalyEvent> episodes_from_flags(const std::vector<double>& score,
   return out;
 }
 
+// ewma_detect learns this many bins before it flags one.
+constexpr std::size_t kEwmaWarmupBins = 30;
+
+// Power-iteration rounds per principal component.
+constexpr std::int32_t kPowerIterations = 50;
+static_assert(kPowerIterations >= 1);
+
+// pca_detect flags a bin whose residual norm exceeds this quantile of every
+// bin's residual norm.
+constexpr double kPcaThresholdQuantile = 0.99;
+static_assert(kPcaThresholdQuantile > 0 && kPcaThresholdQuantile < 1);
+
 }  // namespace
 
 std::vector<AnomalyEvent> ewma_detect(const LinkLoadMatrix& loads,
@@ -73,7 +85,7 @@ std::vector<AnomalyEvent> ewma_detect(const LinkLoadMatrix& loads,
       const double x = loads.at(b, l);
       const double dev = x - mean[l];
       const double sigma = std::sqrt(std::max(var[l], 1e-8));
-      if (b >= config.warmup_bins) {
+      if (b >= kEwmaWarmupBins) {
         bin_score = std::max(bin_score, std::fabs(dev) / sigma);
       }
       // Update after scoring so the anomaly does not mask itself entirely
@@ -82,16 +94,14 @@ std::vector<AnomalyEvent> ewma_detect(const LinkLoadMatrix& loads,
       var[l] = (1 - config.alpha) * (var[l] + config.alpha * dev * dev);
     }
     score[b] = bin_score;
-    flagged[b] = b >= config.warmup_bins && bin_score >= config.threshold_sigma;
+    flagged[b] = b >= kEwmaWarmupBins && bin_score >= config.threshold_sigma;
   }
   return episodes_from_flags(score, flagged, loads.bin_width);
 }
 
 std::vector<std::vector<double>> principal_components(const LinkLoadMatrix& loads,
-                                                      std::int32_t k,
-                                                      std::int32_t power_iterations) {
+                                                      std::int32_t k) {
   require(k >= 1, "principal_components: k must be >= 1");
-  require(power_iterations >= 1, "principal_components: need iterations");
   require(loads.bins >= 2, "principal_components: need at least two bins");
   const std::size_t n = loads.links;
   k = std::min<std::int32_t>(k, static_cast<std::int32_t>(n));
@@ -123,7 +133,7 @@ std::vector<std::vector<double>> principal_components(const LinkLoadMatrix& load
     // Deterministic start vector (varies per component).
     std::vector<double> v(n, 1.0);
     v[static_cast<std::size_t>(c) % n] += 1.0;
-    for (std::int32_t it = 0; it < power_iterations; ++it) {
+    for (std::int32_t it = 0; it < kPowerIterations; ++it) {
       // Orthogonalize against found components.
       for (const auto& u : comps) {
         double dot = 0;
@@ -160,10 +170,7 @@ std::vector<std::vector<double>> principal_components(const LinkLoadMatrix& load
 
 std::vector<AnomalyEvent> pca_detect(const LinkLoadMatrix& loads,
                                      const PcaConfig& config) {
-  require(config.threshold_quantile > 0 && config.threshold_quantile < 1,
-          "pca_detect: quantile must be in (0,1)");
-  const auto comps =
-      principal_components(loads, config.components, config.power_iterations);
+  const auto comps = principal_components(loads, config.components);
   const std::size_t n = loads.links;
 
   std::vector<double> mean(n, 0.0);
@@ -187,7 +194,7 @@ std::vector<AnomalyEvent> pca_detect(const LinkLoadMatrix& loads,
     score[b] = std::sqrt(norm);
   }
 
-  const double threshold = quantile(score, config.threshold_quantile);
+  const double threshold = quantile(score, kPcaThresholdQuantile);
   std::vector<bool> flagged(loads.bins, false);
   for (std::size_t b = 0; b < loads.bins; ++b) {
     flagged[b] = score[b] > threshold && score[b] > 1e-9;

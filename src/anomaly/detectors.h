@@ -57,7 +57,6 @@ struct LinkLoadMatrix {
 struct EwmaConfig {
   double alpha = 0.05;          ///< smoothing factor
   double threshold_sigma = 4.0; ///< deviation that flags a bin
-  std::size_t warmup_bins = 30; ///< bins to learn before flagging
 };
 
 /// Per-link EWMA residual detector; returns anomalous episodes.
@@ -66,8 +65,6 @@ struct EwmaConfig {
 
 struct PcaConfig {
   std::int32_t components = 4;      ///< dimension of the normal subspace
-  double threshold_quantile = 0.99; ///< residual quantile that flags a bin
-  std::int32_t power_iterations = 50;
 };
 
 /// PCA subspace detector; returns anomalous episodes.
@@ -78,7 +75,7 @@ struct PcaConfig {
 /// deflated power iteration.  Returned as k vectors of length `links`,
 /// unit norm, most-variant first.  Exposed for testing and inspection.
 [[nodiscard]] std::vector<std::vector<double>> principal_components(
-    const LinkLoadMatrix& loads, std::int32_t k, std::int32_t power_iterations = 50);
+    const LinkLoadMatrix& loads, std::int32_t k);
 
 /// Ground-truth evaluation against labeled windows (e.g. the trace's
 /// evacuation records): an event is a true positive if it overlaps any

@@ -25,7 +25,4 @@ inline constexpr BytesPerSec kGbpsInBytes = 1e9 / 8.0;  ///< 1 Gbps as B/s
 /// Converts a link rate in Gbps to bytes/second.
 constexpr BytesPerSec gbps(double g) noexcept { return g * kGbpsInBytes; }
 
-/// Converts bytes/second to Gbps for reporting.
-constexpr double to_gbps(BytesPerSec r) noexcept { return r / kGbpsInBytes; }
-
 }  // namespace dct

@@ -50,8 +50,6 @@ void DegradationConfig::validate() const {
                         "DegradationConfig: capacity severity");
   require_severity_band(link_lossy_floor, link_lossy_ceil,
                         "DegradationConfig: lossy severity");
-  require_severity_band(domain_severity_floor, domain_severity_ceil,
-                        "DegradationConfig: domain severity");
   // The period floor bounds the number of down/up transitions one flap
   // episode can schedule.
   require(link_flap_period_min >= 0.5 && link_flap_period_min <= link_flap_period_max,
@@ -108,6 +106,13 @@ void emit_entity(const Rng& base, std::uint64_t stream, double rate_per_hour,
   }
 }
 
+// The domain band: each member link of a domain event keeps a surviving
+// goodput fraction drawn uniformly from [floor, ceil].
+constexpr double kDomainSeverityFloor = 0.3;
+constexpr double kDomainSeverityCeil = 0.7;
+static_assert(kDomainSeverityFloor > 0 && kDomainSeverityCeil < 1 &&
+              kDomainSeverityFloor <= kDomainSeverityCeil);
+
 // Renewal process for one link *domain*: domain-level events at
 // `rate_per_hour`, each expanding into one kLinkLossy episode per member
 // link.  Members share the event's duration; each draws its own severity
@@ -126,7 +131,7 @@ void emit_domain(const Rng& base, std::uint64_t stream, const FaultDomain& domai
     for (const FaultDomainMember& m : domain.members) {
       const TimeSec start = t + (jitter > 0 ? rng.uniform(0.0, jitter) : 0.0);
       const double severity =
-          rng.uniform(cfg.domain_severity_floor, cfg.domain_severity_ceil);
+          rng.uniform(kDomainSeverityFloor, kDomainSeverityCeil);
       if (start >= horizon) continue;  // draws made either way: stream stays aligned
       DegradationEvent e;
       e.start = start;

@@ -71,14 +71,13 @@ struct DegradationConfig {
   /// failing uplink linecard); `vlan_domain_rate` is events per VLAN per
   /// hour over the ToR uplinks of every rack in the VLAN (a sick
   /// aggregation VLAN).  Each member draws its own severity (surviving
-  /// goodput fraction) from [floor, ceil] and a start jittered inside
-  /// [t, t + domain_burst_jitter); all members share the event's duration.
+  /// goodput fraction) from a fixed band (degradation.cc) and a start
+  /// jittered inside [t, t + domain_burst_jitter); all members share the
+  /// event's duration.
   double tor_domain_rate = 0.0;
   TimeSec tor_domain_mean_duration = 45.0;
   double vlan_domain_rate = 0.0;
   TimeSec vlan_domain_mean_duration = 60.0;
-  double domain_severity_floor = 0.3;
-  double domain_severity_ceil = 0.7;
   TimeSec domain_burst_jitter = 2.0;
 
   /// Seed of the degradation stream, independent of the fail-stop,

@@ -238,8 +238,6 @@ class FlowSim {
   void snapshot_link_rates(std::vector<double>& out) const;
 
   [[nodiscard]] std::size_t active_flow_count() const noexcept { return active_.size(); }
-  /// Number of flows ever started.
-  [[nodiscard]] std::size_t started_flow_count() const noexcept { return started_; }
   /// Number of flows killed by the stall detector.
   [[nodiscard]] std::size_t failed_flow_count() const noexcept { return failed_; }
   /// Flows killed because a device failure severed their only path (a

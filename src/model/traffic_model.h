@@ -56,14 +56,8 @@ class TrafficModel {
 
   // --- Fitted parameters (read-only introspection) -------------------------
   [[nodiscard]] double flows_per_second() const noexcept { return flows_per_second_; }
-  [[nodiscard]] const EmpiricalDistribution& inter_arrival_seconds() const noexcept {
-    return inter_arrival_;
-  }
   [[nodiscard]] const EmpiricalDistribution& flow_bytes() const noexcept {
     return bytes_;
-  }
-  [[nodiscard]] const EmpiricalDistribution& flow_rate_bytes_per_sec() const noexcept {
-    return rate_;
   }
   /// P(locality class), indexed by FlowLocality.
   [[nodiscard]] const std::array<double, 4>& locality_mix() const noexcept {

@@ -10,17 +10,25 @@
 namespace dct {
 
 void IncastConfig::validate() const {
-  require(link_rate > 0, "IncastConfig: link rate must be > 0");
   require(queue_packets >= 1, "IncastConfig: queue must hold at least one packet");
-  require(mtu_bytes >= 64, "IncastConfig: MTU too small");
   require(base_rtt > 0, "IncastConfig: RTT must be > 0");
   require(min_rto > base_rtt, "IncastConfig: RTO must exceed the RTT");
-  require(initial_cwnd >= 1 && max_cwnd >= initial_cwnd,
-          "IncastConfig: bad window bounds");
   require(max_time > 0, "IncastConfig: horizon must be > 0");
 }
 
 namespace {
+
+// The bottleneck's service rate and packet size: the cluster's 1 Gbps
+// links and 1500-byte packets.
+constexpr BytesPerSec kLinkRate = gbps(1.0);
+constexpr std::int32_t kMtuBytes = 1500;
+static_assert(kLinkRate > 0 && kMtuBytes >= 64);
+
+// Each sender's initial congestion window, and the receive-window clamp on
+// it, in packets.
+constexpr std::int32_t kInitialCwnd = 2;
+constexpr std::int32_t kMaxCwnd = 64;
+static_assert(kInitialCwnd >= 1 && kMaxCwnd >= kInitialCwnd);
 
 /// One sender's TCP state (Reno-style, packet-granularity).
 struct Sender {
@@ -65,14 +73,14 @@ class IncastSim {
     require(senders >= 1, "run_incast: need at least one sender");
     require(bytes_per_sender > 0, "run_incast: need positive transfer size");
     const auto pkts = static_cast<std::int32_t>(
-        (bytes_per_sender + cfg_.mtu_bytes - 1) / cfg_.mtu_bytes);
+        (bytes_per_sender + kMtuBytes - 1) / kMtuBytes);
     senders_.resize(static_cast<std::size_t>(senders));
     for (auto& s : senders_) {
       s.total = pkts;
-      s.cwnd = cfg_.initial_cwnd;
+      s.cwnd = kInitialCwnd;
       s.received.assign(static_cast<std::size_t>(pkts), false);
     }
-    service_time_ = static_cast<double>(cfg_.mtu_bytes) / cfg_.link_rate;
+    service_time_ = static_cast<double>(kMtuBytes) / kLinkRate;
   }
 
   IncastResult run() {
@@ -106,11 +114,11 @@ class IncastSim {
     TimeSec last = 0;
     for (const auto& s : senders_) {
       const double done_pkts = static_cast<double>(s.finished ? s.total : s.acked);
-      total_bytes += done_pkts * cfg_.mtu_bytes;
+      total_bytes += done_pkts * kMtuBytes;
       const TimeSec end = s.finished ? s.finish_time : cfg_.max_time;
       last = std::max(last, end);
       if (s.started && end > s.start_time) {
-        goodput_sum += done_pkts * cfg_.mtu_bytes / (end - s.start_time);
+        goodput_sum += done_pkts * kMtuBytes / (end - s.start_time);
       }
     }
     res.barrier_finish = last;
@@ -164,7 +172,7 @@ class IncastSim {
     auto& s = senders_[static_cast<std::size_t>(idx)];
     if (!s.started || s.finished) return;
     const auto wnd = static_cast<std::int32_t>(
-        std::min<double>(std::floor(s.cwnd), cfg_.max_cwnd));
+        std::min<double>(std::floor(s.cwnd), kMaxCwnd));
     while (s.next_to_send < s.total && s.next_to_send - s.acked < wnd) {
       enqueue_packet(idx, s.next_to_send++);
     }

@@ -33,13 +33,9 @@ namespace dct {
 
 /// Parameters of the bottleneck and the TCP loop.
 struct IncastConfig {
-  BytesPerSec link_rate = gbps(1.0);   ///< bottleneck service rate
   std::int32_t queue_packets = 64;     ///< shallow 2009-era ToR buffer
-  std::int32_t mtu_bytes = 1500;
   TimeSec base_rtt = 0.0002;           ///< 200 us in-rack RTT
   TimeSec min_rto = 0.2;               ///< the 200 ms TCP minimum RTO
-  std::int32_t initial_cwnd = 2;       ///< packets
-  std::int32_t max_cwnd = 64;          ///< receive-window clamp (packets)
   TimeSec max_time = 30.0;             ///< simulation safety horizon
 
   void validate() const;

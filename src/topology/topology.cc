@@ -15,7 +15,6 @@ void TopologyConfig::validate() const {
   require(server_link_capacity > 0, "TopologyConfig: server link capacity must be > 0");
   require(tor_uplink_capacity > 0, "TopologyConfig: ToR uplink capacity must be > 0");
   require(agg_uplink_capacity > 0, "TopologyConfig: agg uplink capacity must be > 0");
-  require(external_link_capacity > 0, "TopologyConfig: external link capacity must be > 0");
   require(!redundant_tor_uplinks || agg_switches >= 2,
           "TopologyConfig: redundant ToR uplinks need at least two aggregation switches");
 }
@@ -45,6 +44,10 @@ bool is_inter_switch(LinkKind kind) noexcept {
       return false;
   }
 }
+
+// Each external node's link to and from the core router.
+constexpr BytesPerSec kExternalLinkCapacity = gbps(1.0);
+static_assert(kExternalLinkCapacity > 0);
 
 Topology::Topology(TopologyConfig config) : config_(config) {
   config_.validate();
@@ -81,9 +84,9 @@ Topology::Topology(TopologyConfig config) : config_(config) {
   // External servers <-> core router (entity is the server id).
   for (std::int32_t s = config_.internal_servers(); s < config_.total_servers(); ++s) {
     server_up_[static_cast<std::size_t>(s)] =
-        add_link(LinkKind::kExternalUp, config_.external_link_capacity, s);
+        add_link(LinkKind::kExternalUp, kExternalLinkCapacity, s);
     server_down_[static_cast<std::size_t>(s)] =
-        add_link(LinkKind::kExternalDown, config_.external_link_capacity, s);
+        add_link(LinkKind::kExternalDown, kExternalLinkCapacity, s);
   }
   // ToR <-> aggregation.
   for (std::int32_t r = 0; r < config_.racks; ++r) {

@@ -46,7 +46,6 @@ struct TopologyConfig {
   BytesPerSec server_link_capacity = gbps(1.0);   ///< server NIC (paper: 1 Gbps)
   BytesPerSec tor_uplink_capacity = gbps(1.5);    ///< ToR -> aggregation (13:1 oversub)
   BytesPerSec agg_uplink_capacity = gbps(6.0);    ///< aggregation -> core
-  BytesPerSec external_link_capacity = gbps(1.0); ///< external node <-> core
 
   /// Validates ranges; throws dct::Error on nonsense (non-positive counts
   /// or capacities).

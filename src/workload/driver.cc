@@ -16,20 +16,12 @@ void WorkloadConfig::validate() const {
           "WorkloadConfig: diurnal_amplitude must be in [0,1]");
   require(diurnal_period > 0, "WorkloadConfig: diurnal_period must be > 0");
   require(cores_per_server >= 1, "WorkloadConfig: cores_per_server must be >= 1");
-  require(blocks_per_extract_vertex >= 1,
-          "WorkloadConfig: blocks_per_extract_vertex must be >= 1");
   require(max_fetch_connections >= 1,
           "WorkloadConfig: max_fetch_connections must be >= 1");
   require(fetch_gap >= 0, "WorkloadConfig: fetch_gap must be >= 0");
-  require(disk_read_rate > 0 && compute_rate > 0,
-          "WorkloadConfig: disk/compute rates must be > 0");
   require(vertex_startup_min >= 0 && vertex_startup_max >= vertex_startup_min,
           "WorkloadConfig: bad vertex startup range");
   require(max_read_retries >= 0, "WorkloadConfig: max_read_retries must be >= 0");
-  require(read_retry_base_backoff > 0,
-          "WorkloadConfig: read_retry_base_backoff must be > 0");
-  require(read_retry_max_backoff >= read_retry_base_backoff,
-          "WorkloadConfig: read_retry_max_backoff must be >= the base backoff");
   require(read_retry_jitter >= 0 && read_retry_jitter < 1,
           "WorkloadConfig: read_retry_jitter must be in [0, 1)");
   require(spec_check_interval > 0, "WorkloadConfig: spec_check_interval must be > 0");
@@ -48,9 +40,6 @@ void WorkloadConfig::validate() const {
   require(aggregate_home_bias >= 0 && aggregate_home_bias <= 1,
           "WorkloadConfig: aggregate_home_bias must be in [0,1]");
   require(initial_datasets >= 1, "WorkloadConfig: need at least one initial dataset");
-  require(evacuation_concurrency >= 1 && ingest_concurrency >= 1 &&
-              egress_concurrency >= 1,
-          "WorkloadConfig: concurrencies must be >= 1");
   repair.validate();
 }
 
@@ -189,22 +178,35 @@ TimeSec WorkloadDriver::startup_delay(ServerId server) {
          server_slowdown(server);
 }
 
+// Record processing per core, and local block reads, in bytes/s.
+constexpr BytesPerSec kComputeRate = 250.0e6;
+constexpr BytesPerSec kDiskReadRate = 200.0e6;
+static_assert(kComputeRate > 0 && kDiskReadRate > 0);
+
 TimeSec WorkloadDriver::compute_delay(ServerId server, Bytes bytes) {
   // +-20% jitter around bytes / per-core rate.
-  const double base = static_cast<double>(bytes) / config_.compute_rate;
+  const double base = static_cast<double>(bytes) / kComputeRate;
   return base * rng_.uniform(0.8, 1.2) * server_slowdown(server);
 }
 
 TimeSec WorkloadDriver::disk_read_delay(ServerId server, Bytes bytes) const {
-  return static_cast<double>(bytes) / config_.disk_read_rate * server_slowdown(server);
+  return static_cast<double>(bytes) / kDiskReadRate * server_slowdown(server);
 }
+
+// Backoff before the first read retry; each further retry doubles it up
+// to kReadRetryMaxBackoff, then a seeded +-`read_retry_jitter` jitter is
+// applied — capped exponential backoff instead of a fixed retry gap.
+constexpr TimeSec kReadRetryBaseBackoff = 0.75;
+constexpr TimeSec kReadRetryMaxBackoff = 8.0;
+static_assert(kReadRetryBaseBackoff > 0 &&
+              kReadRetryMaxBackoff >= kReadRetryBaseBackoff);
 
 TimeSec WorkloadDriver::retry_backoff(std::int32_t attempt) {
   // min(max, base * 2^(attempt-1)) scaled by U[1-j, 1+j) jitter — exactly
   // one rng draw, like the fixed gap it replaced.
   const double doubled =
-      config_.read_retry_base_backoff * std::ldexp(1.0, std::min(attempt - 1, 30));
-  const double capped = std::min<double>(config_.read_retry_max_backoff, doubled);
+      kReadRetryBaseBackoff * std::ldexp(1.0, std::min(attempt - 1, 30));
+  const double capped = std::min<double>(kReadRetryMaxBackoff, doubled);
   const TimeSec backoff = capped * rng_.uniform(1.0 - config_.read_retry_jitter,
                                                 1.0 + config_.read_retry_jitter);
   DCT_OBS_INC(m_read_retries_);
@@ -347,12 +349,16 @@ bool WorkloadDriver::close_agg_vertex(JobExec& job, std::size_t vertex_index) {
   return true;
 }
 
+// Job-manager chatter sizes, drawn uniformly.
+constexpr Bytes kControlFlowMin = 1 * kKB;
+constexpr Bytes kControlFlowMax = 24 * kKB;
+
 void WorkloadDriver::control_flow(ServerId from, ServerId to, JobId job, PhaseId phase) {
   if (from == to) return;
   FlowSpec spec;
   spec.src = from;
   spec.dst = to;
-  spec.bytes = rng_.uniform_int(config_.control_flow_min, config_.control_flow_max);
+  spec.bytes = rng_.uniform_int(kControlFlowMin, kControlFlowMax);
   spec.job = job;
   spec.phase = phase;
   spec.kind = FlowKind::kControl;
@@ -393,6 +399,10 @@ void WorkloadDriver::install() {
 // Job sampling & arrival process
 // ---------------------------------------------------------------------------
 
+// Probability a Combine job's second input is drawn from datasets homed in
+// the same VLAN as the first input (related datasets co-locate).
+constexpr double kSecondInputLocality = 0.8;
+
 JobSpec WorkloadDriver::sample_job() {
   const double weights[3] = {config_.short_jobs.weight, config_.medium_jobs.weight,
                              config_.production_jobs.weight};
@@ -431,7 +441,7 @@ JobSpec WorkloadDriver::sample_job() {
     const VlanId home =
         spec.input >= 0 ? store_.dataset(spec.input).home_vlan : VlanId{};
     DatasetId pick = -1;
-    if (home.valid() && rng_.bernoulli(config_.second_input_locality)) {
+    if (home.valid() && rng_.bernoulli(kSecondInputLocality)) {
       for (int attempt = 0; attempt < 16 && pick < 0; ++attempt) {
         const DatasetId cand = available_datasets_[static_cast<std::size_t>(
             rng_.uniform_int(0, static_cast<std::int64_t>(available_datasets_.size()) - 1))];
@@ -488,6 +498,10 @@ void WorkloadDriver::try_admit() {
 // Extract (+ pipelined Partition)
 // ---------------------------------------------------------------------------
 
+// Input blocks grouped into one extract vertex.
+constexpr std::int32_t kBlocksPerExtractVertex = 1;
+static_assert(kBlocksPerExtractVertex >= 1);
+
 void WorkloadDriver::submit_job(JobSpec spec) {
   require(spec.input >= 0, "submit_job: job needs an input dataset");
   ++stats_.jobs_submitted;
@@ -517,7 +531,7 @@ void WorkloadDriver::submit_job(JobSpec spec) {
 
   // Group input blocks into extract vertices.
   const Dataset& ds = store_.dataset(job.spec.input);
-  const std::size_t per_vertex = static_cast<std::size_t>(config_.blocks_per_extract_vertex);
+  const std::size_t per_vertex = static_cast<std::size_t>(kBlocksPerExtractVertex);
   for (std::size_t i = 0; i < ds.blocks.size(); i += per_vertex) {
     JobExec::ExtractVertex v;
     for (std::size_t j = i; j < std::min(i + per_vertex, ds.blocks.size()); ++j) {
@@ -1321,6 +1335,10 @@ void WorkloadDriver::finish_job(JobExec& job, bool failed) {
   try_admit();
 }
 
+// Output blocks one egress session pulls at once.
+constexpr std::int32_t kEgressConcurrency = 2;
+static_assert(kEgressConcurrency >= 1);
+
 void WorkloadDriver::start_egress(JobExec& job) {
   const Dataset& out = store_.dataset(job.output_dataset);
   const std::int32_t first_ext = topo_.internal_server_count();
@@ -1334,7 +1352,7 @@ void WorkloadDriver::start_egress(JobExec& job) {
   JobExec* jp = &job;
   // Weak self-reference: in-flight flows' callbacks own the pump.
   *pump = [this, jp, blocks, ext, state, self = std::weak_ptr(pump)] {
-    while (state->second < config_.egress_concurrency && state->first < blocks.size()) {
+    while (state->second < kEgressConcurrency && state->first < blocks.size()) {
       const Block& blk = store_.block(blocks[state->first++]);
       ++state->second;
       FlowSpec fs;
@@ -1376,6 +1394,11 @@ void WorkloadDriver::schedule_next_evacuation() {
   });
 }
 
+// Blocks one evacuation, or one crashed server's immediate re-replication,
+// moves at once.
+constexpr std::int32_t kEvacuationConcurrency = 4;
+static_assert(kEvacuationConcurrency >= 1);
+
 void WorkloadDriver::run_evacuation(ServerId victim) {
   std::vector<BlockId> blocks = store_.blocks_on(victim);
   if (blocks.empty()) return;
@@ -1399,7 +1422,7 @@ void WorkloadDriver::run_evacuation(ServerId victim) {
   // Weak self-reference: in-flight flows' callbacks own the pump.
   auto pump = std::make_shared<std::function<void()>>();
   *pump = [this, victim, st, self = std::weak_ptr(pump)] {
-    while (st->in_flight < config_.evacuation_concurrency &&
+    while (st->in_flight < kEvacuationConcurrency &&
            st->next < st->blocks.size()) {
       const BlockId bid = st->blocks[st->next++];
       if (!store_.has_replica(bid, victim)) continue;  // already moved elsewhere
@@ -1589,7 +1612,7 @@ void WorkloadDriver::run_rereplication(ServerId failed) {
   // Weak self-reference: in-flight flows' callbacks own the pump.
   auto pump = std::make_shared<std::function<void()>>();
   *pump = [this, failed, st, self = std::weak_ptr(pump)] {
-    while (st->in_flight < config_.evacuation_concurrency &&
+    while (st->in_flight < kEvacuationConcurrency &&
            st->next < st->blocks.size()) {
       const BlockId bid = st->blocks[st->next++];
       if (!store_.has_replica(bid, failed)) continue;  // healed already
@@ -1883,6 +1906,10 @@ void WorkloadDriver::schedule_next_ingest() {
   });
 }
 
+// Blocks one ingest session uploads at once.
+constexpr std::int32_t kIngestConcurrency = 2;
+static_assert(kIngestConcurrency >= 1);
+
 void WorkloadDriver::run_ingest() {
   ++stats_.ingest_sessions;
   const JobClassParams& p = config_.medium_jobs;
@@ -1906,7 +1933,7 @@ void WorkloadDriver::run_ingest() {
   // hop chains.
   auto pump = std::make_shared<std::function<void()>>();
   *pump = [this, ds, ext, st, self = std::weak_ptr(pump)] {
-    while (st->in_flight < config_.ingest_concurrency && st->next < st->blocks.size()) {
+    while (st->in_flight < kIngestConcurrency && st->next < st->blocks.size()) {
       const BlockId bid = st->blocks[st->next++];
       ++st->in_flight;
       const Block& blk = store_.block(bid);

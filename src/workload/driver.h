@@ -86,23 +86,15 @@ struct WorkloadConfig {
 
   // --- Execution model --------------------------------------------------------
   std::int32_t cores_per_server = 2;
-  std::int32_t blocks_per_extract_vertex = 1;
   /// §4.4: "applications limit their simultaneously open connections to a
   /// small number" — the shuffle fetch window per aggregate vertex.
   std::int32_t max_fetch_connections = 2;
   /// Stop-and-go pause before launching the next fetch after one completes
   /// (rate-limits flow creation; Fig. 11's periodic inter-arrival modes).
   TimeSec fetch_gap = 0.015;
-  BytesPerSec disk_read_rate = 200.0e6;   ///< local block read, bytes/s
-  BytesPerSec compute_rate = 250.0e6;     ///< record processing, bytes/s/core
   TimeSec vertex_startup_min = 0.02;      ///< scheduling+process launch delay
   TimeSec vertex_startup_max = 0.25;
   std::int32_t max_read_retries = 1;      ///< retries before a fatal read failure
-  /// Backoff before the first read retry; each further retry doubles it up
-  /// to `read_retry_max_backoff`, then a seeded +-`read_retry_jitter` jitter
-  /// is applied — capped exponential backoff instead of a fixed retry gap.
-  TimeSec read_retry_base_backoff = 0.75;
-  TimeSec read_retry_max_backoff = 8.0;
   /// Jitter half-width for every backoff draw: the capped delay is scaled
   /// by U[1 - j, 1 + j).  Must be in [0, 1); 0 makes backoffs deterministic
   /// (still seeded-reproducible, the draw is simply degenerate).
@@ -111,8 +103,6 @@ struct WorkloadConfig {
   /// (unresponsive machine, bad software, bad disk sectors — §4.2 notes not
   /// all read failures are congestion).  Gives Fig. 8 its clear-day floor.
   double spontaneous_read_failure_prob = 0.004;
-  Bytes control_flow_min = 1 * kKB;       ///< job-manager chatter sizes
-  Bytes control_flow_max = 24 * kKB;
   bool locality_enabled = true;           ///< ablation: random placement
   bool chunked_transfers = true;          ///< ablation: unchunked shuffles
 
@@ -120,17 +110,11 @@ struct WorkloadConfig {
   /// Probability an aggregate vertex of a regional job is placed near the
   /// job's home VLAN (the rest spread cluster-wide: scatter-gather).
   double aggregate_home_bias = 0.85;
-  /// Probability a Combine job's second input is drawn from datasets homed
-  /// in the same VLAN as the first input (related datasets co-locate).
-  double second_input_locality = 0.8;
 
   // --- Infrastructure traffic ---------------------------------------------------
   double evacuations_per_hour = 6.0;
   std::int32_t evacuation_max_blocks = 150;
-  std::int32_t evacuation_concurrency = 4;
   double ingest_interval_mean = 150.0;  ///< seconds between ingest sessions
-  std::int32_t ingest_concurrency = 2;
-  std::int32_t egress_concurrency = 2;
 
   // --- Pre-population -------------------------------------------------------------
   std::int32_t initial_datasets = 48;

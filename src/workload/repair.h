@@ -42,9 +42,9 @@ namespace dct {
 struct RepairConfig {
   bool paced = false;
   /// Global ceiling on concurrently in-flight repair flows.  The legacy path
-  /// fans out `evacuation_concurrency` flows per crashed server at once — a
-  /// whole-rack burst launches that times the rack size — so this cap is the
-  /// smoothing lever, not a throughput one.
+  /// fans out `kEvacuationConcurrency` (driver.cc) flows per crashed server
+  /// at once — a whole-rack burst launches that times the rack size — so
+  /// this cap is the smoothing lever, not a throughput one.
   std::int32_t max_in_flight = 64;
   /// Per-server caps on concurrent repair flows sourced from / sent to it.
   /// These, not the global ceiling, protect individual access links: repair
