@@ -321,6 +321,7 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data) {
   // so only one server's decoded log is held at a time.  Errors surface in
   // server order: an earlier server's decode, naming or record_flow error
   // comes before a later server's framing error.
+  std::vector<std::size_t> segment_entries(static_cast<std::size_t>(servers));
   for (std::int32_t s = 0; s < servers; ++s) {
     const std::uint64_t len = r.uvarint();
     require(len <= r.remaining(), "decode_trace: truncated server log");
@@ -333,6 +334,7 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data) {
       require(false, "decode_trace: server log " + std::to_string(s) + " names server " +
                          std::to_string(log.server.value()));
     }
+    segment_entries[static_cast<std::size_t>(s)] = log.flows.size();
     for (const SocketFlowLog& f : log.flows) {
       if (f.direction != SocketDirection::kSend) continue;
       FlowRecord rec;
@@ -349,6 +351,18 @@ ClusterTrace decode_trace(std::span<const std::uint8_t> data) {
       rec.phase = f.phase;
       rec.kind = f.kind;
       trace.record_flow(rec);
+    }
+  }
+  // Only send entries are ingested, so a flipped direction bit would drop a
+  // flow (send read as receive) or add a reversed copy of it (receive read
+  // as send).  Either way some server's log no longer matches its segment.
+  for (std::int32_t s = 0; s < servers; ++s) {
+    const std::size_t held = segment_entries[static_cast<std::size_t>(s)];
+    const std::size_t given = trace.server_log(ServerId{s}).size();
+    if (held != given) {
+      require(false, "decode_trace: server log " + std::to_string(s) + " holds " +
+                         std::to_string(held) + " entries, its flows give " +
+                         std::to_string(given));
     }
   }
 

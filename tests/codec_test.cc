@@ -347,6 +347,47 @@ TEST(CodecCorruption, SegmentNamingAnotherServerIsRejected) {
             std::string::npos);
 }
 
+TEST(CodecCorruption, FlippedDirectionBitIsRejected) {
+  // Only send entries are ingested, so a direction bit flipped in a send
+  // entry would drop its flow, and one flipped in a receive entry would add
+  // a reversed copy of its flow.  Both must fail by name.
+  const auto bytes = encode_trace(corruption_target());
+  ByteReader r(bytes);
+  (void)r.u8();       // trace magic
+  (void)r.u8();       // version
+  (void)r.svarint();  // server count
+  (void)r.svarint();  // duration
+  (void)r.uvarint();  // slot 0's length
+  (void)r.u8();       // log magic
+  ASSERT_EQ(r.svarint(), 0);
+  const std::uint64_t entries = r.uvarint();
+  // The flags byte of server 0's first send entry and of its first receive
+  // entry; eight varint fields precede each.
+  std::size_t send_flags = 0;
+  std::size_t recv_flags = 0;
+  for (std::uint64_t i = 0; i < entries; ++i) {
+    for (int field = 0; field < 8; ++field) (void)r.svarint();
+    const std::size_t at = r.position();
+    std::size_t& first = (r.u8() & 0x08) != 0 ? recv_flags : send_flags;
+    if (first == 0) first = at;
+  }
+  ASSERT_NE(send_flags, 0u);
+  ASSERT_NE(recv_flags, 0u);
+  const auto flipped = [&](std::size_t at) {
+    auto copy = bytes;
+    copy[at] ^= 0x08;
+    return copy;
+  };
+  const std::string held =
+      "decode_trace: server log 0 holds " + std::to_string(entries) + " entries, ";
+  EXPECT_NE(decode_error(flipped(send_flags))
+                .find(held + "its flows give " + std::to_string(entries - 1)),
+            std::string::npos);
+  EXPECT_NE(decode_error(flipped(recv_flags))
+                .find(held + "its flows give " + std::to_string(entries + 1)),
+            std::string::npos);
+}
+
 TEST(CodecCorruption, DeltaOverflowRejected) {
   // Hand-craft server-log payloads whose delta fields sum past INT64_MAX.
   // Layout per flow: svarint end-delta, start-delta, flow-delta, peer,
@@ -463,7 +504,8 @@ bool fold_decode_outcome(Fingerprint& fp, const std::vector<std::uint8_t>& bytes
 }
 
 TEST(CodecCorruption, RandomBitFlipsNeverCrash) {
-  const auto encoded = encode_trace(corruption_target());
+  const ClusterTrace original = corruption_target();
+  const auto encoded = encode_trace(original);
   Rng rng(77);
   Fingerprint strict_fp;
   int rejected = 0, survived = 0;
@@ -481,6 +523,10 @@ TEST(CodecCorruption, RandomBitFlipsNeverCrash) {
     // allocation, a foreign exception) fails the test.
     if (fold_decode_outcome(strict_fp, copy)) {
       ++survived;
+      // A flip the decoder cannot see (v5 has no checksum) may still change
+      // a field, but never the number of flows.
+      EXPECT_EQ(decode_trace(copy).flow_count(), original.flow_count())
+          << "trial " << trial;
     } else {
       ++rejected;
     }
@@ -489,7 +535,7 @@ TEST(CodecCorruption, RandomBitFlipsNeverCrash) {
   EXPECT_GT(rejected, 0) << "bit flips should usually be detected";
   // Which error each trial surfaces, and every byte a surviving decode
   // yields, are pinned: a decoder rewrite must keep both.
-  EXPECT_EQ(strict_fp.value(), 0xfc5d5976c65b51bcULL);
+  EXPECT_EQ(strict_fp.value(), 0xb6c70f4f105304d4ULL);
 }
 
 }  // namespace
