@@ -1,8 +1,9 @@
 #include "testing/generator.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <iomanip>
 #include <limits>
 #include <random>
@@ -159,6 +160,27 @@ std::size_t value_offset(const std::string& json, const std::string& key) {
   const auto pos = json.find(needle);
   if (pos == std::string::npos) return std::string::npos;
   return pos + needle.size();
+}
+
+// Parses the bare value at `off`, up to the next ',', '}' or line end, as
+// a T.  The whole value must parse: a prefix match would read "2x" as 2,
+// and no match at all would read "oops" as 0.  An unsigned T takes only
+// decimal digits, so "-1" cannot wrap.
+template <typename T>
+T parse_value(const std::string& json, std::size_t off, const std::string& what) {
+  std::size_t first = off;
+  std::size_t last = std::min(json.find_first_of(",}\n", off), json.size());
+  while (first < last && std::isspace(static_cast<unsigned char>(json[first]))) ++first;
+  while (last > first && std::isspace(static_cast<unsigned char>(json[last - 1]))) --last;
+  const char* const begin = json.data() + first;
+  const char* const end = json.data() + last;
+  T value{};
+  const auto [parsed_to, ec] = std::from_chars(begin, end, value);
+  require(ec == std::errc() && parsed_to == end,
+          "scenario_from_repro: " + what + " value '" + std::string(begin, end) +
+              "' is not " +
+              (std::is_integral_v<T> ? "an unsigned decimal integer" : "a number"));
+  return value;
 }
 
 }  // namespace
@@ -415,7 +437,7 @@ ScenarioConfig scenario_from_repro(const std::string& json) {
       require(!required_key, "scenario_from_repro: missing key " + key);
       return fallback;
     }
-    return std::strtoull(json.c_str() + off, nullptr, 10);
+    return parse_value<std::uint64_t>(json, off, key);
   };
   // Every key inside "knobs" must name a knob.  A misspelt or retired key
   // would otherwise be skipped, and the replay would silently run tiny()'s
@@ -444,7 +466,7 @@ ScenarioConfig scenario_from_repro(const std::string& json) {
   for (const auto& knob : knob_table()) {
     const auto off = value_offset(json, knob.key);
     if (off == std::string::npos) continue;
-    knob.set(cfg, std::strtod(json.c_str() + off, nullptr));
+    knob.set(cfg, parse_value<double>(json, off, std::string("knob ") + knob.key));
   }
   cfg.cascades.seed = u64_at("cascades_seed", false, cfg.cascades.seed);
   cfg.telemetry.seed = u64_at("telemetry_seed", false, cfg.telemetry.seed);

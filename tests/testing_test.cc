@@ -224,6 +224,13 @@ TEST(ReproJson, RejectsNonFiniteAndOutOfRangeKnobs) {
       {"telemetry.snmp_counter_width", "inf"},
       {"workload.hedged_reads", "2"},
       {"topology.redundant_tor_uplinks", "0.5"},
+      // The whole value must parse, not a prefix of it.
+      {"faults.server_crash_rate", "oops"},
+      {"topology.racks", "2x"},
+      {"sim.end_time", ""},
+      // A seed is an unsigned decimal integer.
+      {"seed", "x1"},
+      {"seed", "-1"},
   };
   for (const auto& [key, value] : bad) {
     EXPECT_NE(error_for(key, value).find(key), std::string::npos)
@@ -232,6 +239,7 @@ TEST(ReproJson, RejectsNonFiniteAndOutOfRangeKnobs) {
   // In-range values still parse.
   EXPECT_EQ(error_for("topology.racks", "3"), "");
   EXPECT_EQ(error_for("workload.hedged_reads", "1"), "");
+  EXPECT_EQ(error_for("seed", "18446744073709551615"), "");
 }
 
 TEST(ReproJson, RejectsUnknownKnobKeys) {
