@@ -9,10 +9,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/require.h"
 #include "core/experiment.h"
 #include "faults/degradation.h"
 #include "faults/injector.h"
+#include "testing/invariants.h"
 #include "topology/network_state.h"
 #include "trace/codec.h"
 
@@ -309,6 +311,32 @@ TEST(Mitigations, SpeculationLaunchesBackupsAndWins) {
   EXPECT_GT(st.jobs_completed, 0);
   ASSERT_NE(exp.fault_injector(), nullptr);
   EXPECT_GT(exp.fault_injector()->degradations_injected(), 0u);
+  EXPECT_EQ(fnv1a(kFnvOffset, encode_trace(exp.trace())), 0xddc405051975104eULL);
+}
+
+// Speculation under server crashes: a crash can take down a backup, or a
+// primary whose twin survives, and a backup can run out of read or fetch
+// retries and be abandoned.  Seed 5 reaches the first five of those six
+// cases, in both phases where they exist; seed 8 reaches an aggregate
+// backup abandoned after its fetch retries.  The trace pins hold each
+// outcome, and the invariants check that no vertex or core leaked.
+TEST(Mitigations, SpeculationSurvivesServerCrashes) {
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {
+      {5, 0x13ecfff2ee2ddccbULL}, {8, 0x0caa15db60f16999ULL}};
+  for (const auto& [seed, digest] : pins) {
+    ScenarioConfig cfg = straggler_scenario(240.0, seed);
+    cfg.faults.server_crash_rate = 120.0;
+    cfg.faults.server_mean_repair = 30.0;
+    ClusterExperiment exp(cfg);
+    exp.run();
+    const auto& st = exp.workload_stats();
+    EXPECT_GT(st.server_crashes, 0) << "seed " << seed;
+    EXPECT_GT(st.spec_launched, 0) << "seed " << seed;
+    EXPECT_EQ(fnv1a(kFnvOffset, encode_trace(exp.trace())), digest) << "seed " << seed;
+    testing::RunUnderTest run{exp};
+    const auto report = testing::InvariantRegistry::builtin().check_all(run);
+    EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.summary();
+  }
 }
 
 // Sparse-but-severe throttling: at any instant only a few links run at
@@ -341,6 +369,8 @@ TEST(Mitigations, HedgedReadsFireAndWin) {
   EXPECT_GT(st.hedges_launched, 0);
   EXPECT_GT(st.hedge_wins, 0) << "a hedge must beat a crawling primary read";
   EXPECT_GT(st.jobs_completed, 0);
+  // The only pinned run with a winning hedge.
+  EXPECT_EQ(fnv1a(kFnvOffset, encode_trace(exp.trace())), 0xd0afbdd66cf60c0dULL);
 }
 
 TEST(Mitigations, GrayFailureScenarioIsDeterministic) {

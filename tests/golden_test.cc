@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string_view>
 #include <tuple>
@@ -147,9 +148,24 @@ std::uint64_t counter(const ClusterExperiment& exp, std::string_view full_name) 
   return 0;
 }
 
-// Byte pins: FNV-1a of the encoded trace of three seeded scenarios, one
-// fault-free, one with device failures (reroutes and kills) and one with
-// link-capacity overlays, and of the simulator's own per-link byte series,
+// What a golden run exercises in the workload driver.  A pin that moves
+// then names the mechanism, and a preset tweak that stops exercising one
+// fails here rather than passing on a trace digest re-pinned in a hurry.
+struct DriverWork {
+  std::int64_t server_crashes;
+  std::int64_t vertices_reexecuted;
+  std::int64_t blocks_rereplicated;
+  std::int64_t spec_launched;
+  std::int64_t spec_wins;
+  std::int64_t hedges_launched;
+  std::int64_t hedge_wins;
+  std::int64_t repairs_dispatched;
+};
+
+// Byte pins: FNV-1a of the encoded trace of four seeded scenarios, one
+// fault-free, one with device failures (reroutes and kills), one with
+// link-capacity overlays and one with correlated bursts and paced repair,
+// and of the simulator's own per-link byte series,
 // which exp.utilization() and the SNMP counters read.  The shape checks
 // above tolerate small drift; these do not.  A change to event order or to
 // the fluid arithmetic moves them, so a speed-up that claims identical
@@ -159,7 +175,7 @@ std::uint64_t counter(const ClusterExperiment& exp, std::string_view full_name) 
 // simulator did to get there.  Re-pin only on purpose, and say why in the
 // commit.
 void expect_pinned(const ScenarioConfig& cfg, std::uint64_t trace, std::uint64_t links,
-                   FlowSimWork work) {
+                   FlowSimWork work, DriverWork driver) {
   ClusterExperiment exp(cfg);
   exp.run();
   EXPECT_EQ(fnv1a(kFnvOffset, encode_trace(exp.trace())), trace);
@@ -167,21 +183,39 @@ void expect_pinned(const ScenarioConfig& cfg, std::uint64_t trace, std::uint64_t
   EXPECT_EQ(counter(exp, "flowsim.flow_deposits"), work.flow_deposits);
   EXPECT_EQ(counter(exp, "flowsim.link_deposits"), work.link_deposits);
   EXPECT_EQ(counter(exp, "flowsim.completions_queued"), work.completions_queued);
+  const WorkloadStats& st = exp.workload_stats();
+  EXPECT_EQ(st.server_crashes, driver.server_crashes);
+  EXPECT_EQ(st.vertices_reexecuted, driver.vertices_reexecuted);
+  EXPECT_EQ(st.blocks_rereplicated, driver.blocks_rereplicated);
+  EXPECT_EQ(st.spec_launched, driver.spec_launched);
+  EXPECT_EQ(st.spec_wins, driver.spec_wins);
+  EXPECT_EQ(st.hedges_launched, driver.hedges_launched);
+  EXPECT_EQ(st.hedge_wins, driver.hedge_wins);
+  EXPECT_EQ(st.repairs_dispatched, driver.repairs_dispatched);
 }
 
 TEST(GoldenBytes, TinyTraceIsPinned) {
   expect_pinned(scenarios::tiny(60.0, 42), 0xa0fe3b24d44a4c49ULL, 0x6453f4f4dd69e193ULL,
-                {1'122, 4'384, 1'107});
+                {1'122, 4'384, 1'107}, {0, 0, 0, 0, 0, 0, 0, 0});
 }
 
 TEST(GoldenBytes, FaultStormTraceIsPinned) {
   expect_pinned(scenarios::fault_storm(120.0, 42), 0x7c66f6cbbd889e8cULL,
-                0xb066b68a7b77e27fULL, {284'454, 1'313'482, 261'745});
+                0xb066b68a7b77e27fULL, {284'454, 1'313'482, 261'745},
+                {3, 1, 7, 0, 0, 0, 0, 0});
 }
 
 TEST(GoldenBytes, GrayFailureTraceIsPinned) {
   expect_pinned(scenarios::gray_failure(60.0, 42), 0x1972e0468aa90aa2ULL,
-                0xe0c536d7a9b8d0d7ULL, {78'994, 358'540, 63'661});
+                0xe0c536d7a9b8d0d7ULL, {78'994, 358'540, 63'661},
+                {0, 0, 0, 11, 6, 6, 0, 0});
+}
+
+// The only pin on paced repair (repair.paced) and on rack-power bursts.
+TEST(GoldenBytes, CorrelatedBurstTraceIsPinned) {
+  expect_pinned(scenarios::correlated_burst(60.0, 42), 0x29af06a12a60f4e4ULL,
+                0xd3eda61062cfc695ULL, {92'156, 437'070, 69'252},
+                {22, 5, 133, 0, 0, 0, 0, 166});
 }
 
 // Analysis and decode pins: FNV-1a of each stage's output on fixed inputs.
