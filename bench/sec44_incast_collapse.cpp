@@ -18,8 +18,8 @@
 int main(int argc, char** argv) {
   dct::Bytes sru = 256 * 1024;
   if (argc > 1) {
-    sru = dct::bench::positional_arg<dct::Bytes>(argv, 1, "transfer size");
-    if (sru <= 0) dct::bench::bad_value(argv, 1, "transfer size");
+    sru = dct::cli::number_value<dct::Bytes>(argv[0], "transfer size", argv[1]);
+    if (sru <= 0) dct::cli::bad_value(argv[0], "transfer size", argv[1]);
   }
 
   const std::string size =

@@ -17,9 +17,7 @@
 // that log, byte-identically.  All file outputs are written atomically
 // (temp file + rename), so a crash mid-export never leaves a torn artifact.
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <iostream>
 #include <optional>
@@ -31,6 +29,7 @@
 #include "analysis/traffic_matrix.h"
 #include "common/fsio.h"
 #include "common/table.h"
+#include "core/cli.h"
 #include "core/experiment.h"
 #include "trace/codec.h"
 
@@ -66,20 +65,6 @@ struct Options {
   std::exit(2);
 }
 
-// Parses a numeric flag's whole value as a T, or exits with the usage
-// error: "abc", "5x" and a value outside T's range are refused.
-template <typename T>
-T flag_value(const std::string& flag, const char* text) {
-  T value{};
-  const char* const end = text + std::strlen(text);
-  const auto [stop, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || stop != end) {
-    std::cerr << "run_scenario: bad value for " << flag << ": '" << text << "'\n";
-    usage();
-  }
-  return value;
-}
-
 Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -91,15 +76,16 @@ Options parse(int argc, char** argv) {
     if (arg == "--scenario") {
       opt.scenario = next();
     } else if (arg == "--duration") {
-      opt.duration = flag_value<double>(arg, next());
+      opt.duration = dct::cli::number_value<double>(argv[0], arg, next());
     } else if (arg == "--seed") {
-      opt.seed = flag_value<std::uint64_t>(arg, next());
+      opt.seed = dct::cli::number_value<std::uint64_t>(argv[0], arg, next());
     } else if (arg == "--jobs-per-second") {
-      opt.jobs_per_second = flag_value<double>(arg, next());
+      opt.jobs_per_second = dct::cli::number_value<double>(argv[0], arg, next());
     } else if (arg == "--racks") {
-      opt.racks = flag_value<std::int32_t>(arg, next());
+      opt.racks = dct::cli::number_value<std::int32_t>(argv[0], arg, next());
     } else if (arg == "--servers-per-rack") {
-      opt.servers_per_rack = flag_value<std::int32_t>(arg, next());
+      opt.servers_per_rack =
+          dct::cli::number_value<std::int32_t>(argv[0], arg, next());
     } else if (arg == "--csv-flows") {
       opt.csv_flows = next();
     } else if (arg == "--csv-links") {

@@ -2,18 +2,20 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <iomanip>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/fsio.h"
 #include "common/require.h"
+#include "core/cli.h"
 
 namespace dct::testing {
 
@@ -163,24 +165,20 @@ std::size_t value_offset(const std::string& json, const std::string& key) {
 }
 
 // Parses the bare value at `off`, up to the next ',', '}' or line end, as
-// a T.  The whole value must parse: a prefix match would read "2x" as 2,
-// and no match at all would read "oops" as 0.  An unsigned T takes only
-// decimal digits, so "-1" cannot wrap.
+// a T.  The whole value must parse (cli::parse_number): a prefix match
+// would read "2x" as 2, and no match at all would read "oops" as 0.
 template <typename T>
 T parse_value(const std::string& json, std::size_t off, const std::string& what) {
   std::size_t first = off;
   std::size_t last = std::min(json.find_first_of(",}\n", off), json.size());
   while (first < last && std::isspace(static_cast<unsigned char>(json[first]))) ++first;
   while (last > first && std::isspace(static_cast<unsigned char>(json[last - 1]))) --last;
-  const char* const begin = json.data() + first;
-  const char* const end = json.data() + last;
-  T value{};
-  const auto [parsed_to, ec] = std::from_chars(begin, end, value);
-  require(ec == std::errc() && parsed_to == end,
-          "scenario_from_repro: " + what + " value '" + std::string(begin, end) +
-              "' is not " +
+  const std::string_view text(json.data() + first, last - first);
+  const std::optional<T> value = cli::parse_number<T>(text);
+  require(value.has_value(),
+          "scenario_from_repro: " + what + " value '" + std::string(text) + "' is not " +
               (std::is_integral_v<T> ? "an unsigned decimal integer" : "a number"));
-  return value;
+  return *value;
 }
 
 }  // namespace

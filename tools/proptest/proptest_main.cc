@@ -17,13 +17,13 @@
 // 2 usage error.
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <optional>
 #include <string>
 
 #include "common/fsio.h"
+#include "core/cli.h"
 #include "core/experiment.h"
 #include "testing/generator.h"
 #include "testing/invariants.h"
@@ -76,15 +76,15 @@ bool parse_args(int argc, char** argv, Options& opt) {
     if (arg == "--rounds") {
       const char* v = next();
       if (!v) return false;
-      opt.rounds = std::atoi(v);
+      opt.rounds = cli::number_value<int>(argv[0], arg, v);
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
+      opt.seed = cli::number_value<std::uint64_t>(argv[0], arg, v);
     } else if (arg == "--max-duration") {
       const char* v = next();
       if (!v) return false;
-      opt.max_duration = std::atof(v);
+      opt.max_duration = cli::duration_value(argv[0], arg, v);
     } else if (arg == "--out") {
       const char* v = next();
       if (!v) return false;
@@ -92,7 +92,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--checkpoint-every") {
       const char* v = next();
       if (!v) return false;
-      opt.checkpoint_every = std::atoi(v);
+      opt.checkpoint_every = cli::number_value<int>(argv[0], arg, v);
     } else if (arg == "--inject-bug") {
       opt.inject_bug = true;
     } else if (arg == "--replay") {
